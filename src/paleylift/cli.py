@@ -68,15 +68,16 @@ def _parse_modulus(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
 
 
-def _load_graph(path: Path):
-    try:
-        return graphs.read_graph(path)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise _CliInputError(f"bad graph file {path}: {exc}") from exc
-
-
-class _CliInputError(Exception):
-    """Malformed user-supplied file or option combination."""
+def _read_witness(path: Path) -> tuple[str, int, tuple[int, ...]]:
+    """(side, weight, support) of a witness file; ValueError if malformed."""
+    payload = json.loads(path.read_text())
+    if not isinstance(payload, dict) or payload.get("side") not in ("Z", "X"):
+        raise ValueError("witness needs side Z or X")
+    weight, support = payload.get("weight"), payload.get("support")
+    if type(weight) is not int or not isinstance(support, list) or not all(
+            type(j) is int for j in support):
+        raise ValueError("witness needs an integer weight and support")
+    return payload["side"], weight, tuple(support)
 
 
 # -- commands -------------------------------------------------------------------
@@ -89,7 +90,8 @@ def cmd_lift(args: argparse.Namespace, argv: list[str]) -> int:
     out.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    lifted = voltage.lift(voltage.build_voltage_graph(args.t))
+    rotation = voltage.derived_embedding(voltage.build_voltage_graph(args.t))
+    lifted = rotation.graph
     block = voltage.block_adjacency(args.t)
     timings["build"] = time.perf_counter() - t0
     if graphs.adjacency_matrix(lifted) != block:
@@ -101,6 +103,9 @@ def cmd_lift(args: argparse.Namespace, argv: list[str]) -> int:
     gpath = out / "graph.json"
     graphs.write_graph(lifted, gpath)
     outputs.append(gpath)
+    rpath = out / "rotation.json"
+    embedding.write_rotation(rotation, rpath)
+    outputs.append(rpath)
     apath = out / "adjacency.txt"
     apath.write_text(block.to_text())
     outputs.append(apath)
@@ -146,35 +151,17 @@ def cmd_paley(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def cmd_code(args: argparse.Namespace, argv: list[str]) -> int:
-    if (args.rotation is None) == (not args.algebraic):
-        return _usage_error("exactly one of --rotation or --algebraic is required")
-    if args.algebraic and args.target_k is None:
-        return _usage_error("--algebraic requires --target-k")
-    graph_path = Path(args.graph)
-    if not graph_path.exists():
-        return _usage_error(f"graph file {graph_path} not found")
+    graph_path, rot_path = Path(args.graph), Path(args.rotation)
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     try:
-        graph = _load_graph(graph_path)
-        inputs = [graph_path]
-        if args.rotation:
-            rot_path = Path(args.rotation)
-            if not rot_path.exists():
-                return _usage_error(f"rotation file {rot_path} not found")
-            try:
-                rotation = embedding.read_rotation(rot_path, graph)
-            except (ValueError, KeyError, json.JSONDecodeError) as exc:
-                return _usage_error(f"bad rotation file {rot_path}: {exc}")
-            inputs.append(rot_path)
-            code = css.build_code_embedding(graph, rotation, family=args.family,
-                                            kprime=args.kprime)
-        else:
-            code = css.build_code_algebraic(graph, args.target_k,
-                                            family=args.family,
-                                            kprime=args.kprime)
-    except (_CliInputError, ValueError) as exc:
-        return _usage_error(str(exc))
+        graph = graphs.read_graph(graph_path)
+        rotation = embedding.read_rotation(rot_path, graph)
+        code = css.build_code_embedding(graph, rotation, family=args.family,
+                                        kprime=args.kprime)
+    except (OSError, ValueError) as exc:
+        return _usage_error(f"cannot build a code from {graph_path} and "
+                            f"{rot_path}: {exc}")
     timings["build"] = time.perf_counter() - t0
     out = Path(args.out)
     t0 = time.perf_counter()
@@ -185,8 +172,8 @@ def cmd_code(args: argparse.Namespace, argv: list[str]) -> int:
             p.write_text(_matrix_to_alist(mat))
             outputs.append(p)
     timings["write"] = time.perf_counter() - t0
-    _write_manifest(out, argv, inputs, outputs, timings)
-    print(f"code [[{code.n},{code.k},?]] mode={code.mode} -> {out}")
+    _write_manifest(out, argv, [graph_path, rot_path], outputs, timings)
+    print(f"code [[{code.n},{code.k},?]] genus {code.genus} -> {out}")
     return EXIT_OK
 
 
@@ -196,7 +183,7 @@ def cmd_distance(args: argparse.Namespace, argv: list[str]) -> int:
         return _usage_error(f"{bundle} is not a code bundle (code.json missing)")
     try:
         code = css.read_bundle(bundle)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         return _usage_error(f"bad bundle {bundle}: {exc}")
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -243,12 +230,10 @@ def cmd_table(args: argparse.Namespace, argv: list[str]) -> int:
 
 def cmd_embed_search(args: argparse.Namespace, argv: list[str]) -> int:
     graph_path = Path(args.graph)
-    if not graph_path.exists():
-        return _usage_error(f"graph file {graph_path} not found")
     try:
-        graph = _load_graph(graph_path)
-    except _CliInputError as exc:
-        return _usage_error(str(exc))
+        graph = graphs.read_graph(graph_path)
+    except (OSError, ValueError) as exc:
+        return _usage_error(f"bad graph file {graph_path}: {exc}")
     out = Path(args.out)
     t0 = time.perf_counter()
     try:
@@ -259,6 +244,8 @@ def cmd_embed_search(args: argparse.Namespace, argv: list[str]) -> int:
     except SearchBudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except ValueError as exc:
+        return _usage_error(str(exc))
     elapsed = time.perf_counter() - t0
     out.parent.mkdir(parents=True, exist_ok=True)
     if rotation is None:
@@ -282,7 +269,7 @@ def cmd_verify(args: argparse.Namespace, argv: list[str]) -> int:
         return _usage_error(f"{bundle} is not a code bundle (code.json missing)")
     try:
         code = css.read_bundle(bundle)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"bundle unreadable: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     failures = []
@@ -305,10 +292,12 @@ def cmd_verify(args: argparse.Namespace, argv: list[str]) -> int:
     for side in ("dz", "dx"):
         wpath = bundle / f"{side}_witness.json"
         if wpath.exists():
-            payload = json.loads(wpath.read_text())
-            support = tuple(payload["support"])
-            ok = (len(support) == payload["weight"]
-                  and css.verify_witness(code, payload["side"], support))
+            try:
+                wside, weight, support = _read_witness(wpath)
+                ok = (len(support) == weight
+                      and css.verify_witness(code, wside, support))
+            except (OSError, ValueError):
+                ok = False
             check(f"{side} witness re-verifies", ok)
     if failures:
         print(f"verification failed: {', '.join(failures)}", file=sys.stderr)
@@ -325,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("lift", help="build the lift of the two-vertex voltage graph")
+    p = sub.add_parser("lift", help="build the lift of the two-vertex voltage graph "
+                                    "and its derived embedding")
     p.add_argument("t", type=int, help="group parameter; the lift has 2^(t+1) vertices")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--format", dest="fmt", default="text",
@@ -345,11 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("code", help="assemble a CSS code bundle from a graph")
     p.add_argument("graph", help="graph JSON file")
-    p.add_argument("--rotation", help="rotation-system JSON (embedding mode)")
-    p.add_argument("--algebraic", action="store_true",
-                   help="use the deterministic cycle completion")
-    p.add_argument("--target-k", type=int, dest="target_k",
-                   help="logical count for algebraic mode")
+    p.add_argument("--rotation", required=True,
+                   help="rotation-system JSON; its faces give H_Z")
     p.add_argument("--family", default="custom",
                    choices=["voltage", "paley", "custom"])
     p.add_argument("--kprime", type=int)

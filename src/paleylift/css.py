@@ -1,38 +1,27 @@
-"""CSS code assembly from graphs.
+"""CSS surface codes of embedded graphs.
 
-H_X is always the vertex-edge incidence matrix.  H_Z comes either from the
-faces of an explicit embedding or from a deterministic completion that
-picks cycle-space rows (algebraic mode).
-
-The algebraic completion prefers rows that separate edge columns: rows are
-drawn from a catalog of simple cycles (ascending weight, then lexicographic
-support) and chosen greedily to maximize the number of newly distinguished
-column pairs, then remaining rank is filled with the lowest-weight
-independent cycles.  A pure lowest-weight-first choice fills every slot
-with triangles, leaving whole columns of H_Z zero, which manufactures
-weight-1 logical operators; the separation objective exists to keep the
-completion's distance honest (>= 3 on the graphs built here).
+H_X is the vertex-edge incidence matrix and H_Z the face-edge incidence
+matrix of a rotation system, so k = 2 * genus.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .gf2 import BinaryMatrix, RowSpace, kernel_basis, multiply, rank
+from .gf2 import BinaryMatrix, RowSpace, multiply, rank
 from .graphs import Graph, incidence_matrix
 from .embedding import RotationSystem, face_edge_matrix, trace_faces
 
 DEFAULT_ENUMERATION_BUDGET = 10**9
-DEFAULT_WEIGHT_CAP = 8
 
 
 @dataclass
 class CssCode:
-    """A CSS code with its construction provenance."""
+    """A CSS code with its family labels."""
 
     hx: BinaryMatrix
     hz: BinaryMatrix
@@ -40,11 +29,9 @@ class CssCode:
     k: int
     d_lower: int
     d_found: Optional[int]
-    mode: str                 # "embedding" | "algebraic"
     family: str               # "voltage" | "paley" | "custom"
     kprime: Optional[int] = None
     genus: Optional[int] = None
-    metadata: dict = dataclass_field(default_factory=dict)
 
     def validate(self) -> None:
         if self.hx.cols != self.n or self.hz.cols != self.n:
@@ -83,190 +70,7 @@ def build_code_embedding(
             f"logical count {k} disagrees with 2*genus = {2 * faces.genus}"
         )
     return CssCode(hx=hx, hz=hz, n=n, k=k, d_lower=1, d_found=None,
-                   mode="embedding", family=family, kprime=kprime,
-                   genus=faces.genus)
-
-
-# -- algebraic completion ------------------------------------------------------
-
-def simple_cycles(graph: Graph, max_len: int) -> list[int]:
-    """Edge supports of all simple cycles of length <= max_len, as bitmasks,
-    sorted by (weight, support).  Each cycle is found once: the walk starts
-    at its minimum vertex and the second vertex is smaller than the last."""
-    adj = [sorted(graph.adjacency[v]) for v in range(graph.vertex_count)]
-    eidx = graph.edge_index
-    found = []
-    for s in range(graph.vertex_count):
-        stack = [(s, (s,), 0)]
-        while stack:
-            v, path, used = stack.pop()
-            for w in adj[v]:
-                if w == s and len(path) >= 3 and path[1] < path[-1]:
-                    e = eidx[(min(v, s), max(v, s))]
-                    found.append(used | (1 << e))
-                    continue
-                if w <= s or w in path or len(path) >= max_len:
-                    continue
-                e = eidx[(min(v, w), max(v, w))]
-                stack.append((w, path + (w,), used | (1 << e)))
-    def support(mask: int) -> tuple[int, ...]:
-        out = []
-        while mask:
-            out.append((mask & -mask).bit_length() - 1)
-            mask &= mask - 1
-        return tuple(out)
-    return sorted(set(found), key=lambda c: (bin(c).count("1"), support(c)))
-
-
-class _Independence:
-    """Incremental GF(2) independence tracker."""
-
-    def __init__(self) -> None:
-        self.pivots: dict[int, int] = {}
-
-    def reduce(self, v: int) -> int:
-        for p, row in self.pivots.items():
-            if (v >> p) & 1:
-                v ^= row
-        return v
-
-    def add(self, v: int) -> bool:
-        red = self.reduce(v)
-        if red == 0:
-            return False
-        self.pivots[(red & -red).bit_length() - 1] = red
-        return True
-
-
-def _split_classes(classes: list[list[int]], row: int, n: int) -> list[list[int]]:
-    out = []
-    for cls in classes:
-        ones = [j for j in cls if j < n and (row >> j) & 1]
-        zeros = [j for j in cls if j == n or not (row >> j) & 1]
-        if zeros:
-            out.append(zeros)
-        if ones:
-            out.append(ones)
-    return out
-
-
-def cycle_completion(
-    hx: BinaryMatrix,
-    r_z: int,
-    w_cap: int = DEFAULT_WEIGHT_CAP,
-    graph: Optional[Graph] = None,
-    separation_guard: bool = True,
-) -> tuple[list[int], dict]:
-    """Choose r_z independent cycle-space rows deterministically.
-
-    With separation_guard the catalog is first mined for rows that best
-    split the column-signature classes (virtual all-zero column included),
-    so the resulting row space leaves no zero or duplicate columns when the
-    rank budget allows; remaining rank is filled lowest-weight-first.
-    Without the guard the rule degenerates to the plain lowest-weight
-    greedy.  Falls back to kernel-basis rows (flagged) if the catalog
-    cannot complete the rank.
-    """
-    n = hx.cols
-    if r_z < 0:
-        raise ValueError(f"target k too large: completion would need {r_z} rows")
-    if graph is None:
-        raise ValueError("cycle completion needs the underlying graph")
-    catalog = simple_cycles(graph, w_cap)
-    indep = _Independence()
-    kept: list[int] = []
-    # virtual column index n tracks the all-zero signature
-    classes: list[list[int]] = [list(range(n + 1))]
-    separated = False
-
-    if separation_guard:
-        while len(kept) < r_z:
-            live = [cls for cls in classes if len(cls) > 1]
-            if not live:
-                separated = True
-                break
-            best = None
-            best_score = 0
-            for c in catalog:
-                score = 0
-                for cls in live:
-                    ones = 0
-                    for j in cls:
-                        if j < n and (c >> j) & 1:
-                            ones += 1
-                    score += ones * (len(cls) - ones)
-                if score > best_score:
-                    best, best_score = c, score
-            if best is None:
-                break  # no catalog row distinguishes anything further
-            if not indep.add(best):
-                # unreachable: a row splitting a signature class cannot lie
-                # in the span of the rows that defined those signatures
-                raise AssertionError("splitting row was dependent")
-            kept.append(best)
-            catalog.remove(best)
-            classes = _split_classes(classes, best, n)
-        separated = separated or all(len(cls) == 1 for cls in classes)
-
-    for c in catalog:
-        if len(kept) == r_z:
-            break
-        if indep.add(c):
-            kept.append(c)
-            classes = _split_classes(classes, c, n)
-
-    basis_padded = False
-    if len(kept) < r_z:
-        for row_bits in kernel_basis(hx).row_bits:
-            if len(kept) == r_z:
-                break
-            if indep.add(row_bits):
-                kept.append(row_bits)
-                basis_padded = True
-    if len(kept) < r_z:
-        raise AssertionError("kernel basis could not complete the rank; "
-                             "r_z exceeds the cycle space dimension")
-
-    info = {
-        "completion": "separation-greedy" if separation_guard else "lowest-weight-greedy",
-        "separated": all(len(cls) == 1 for cls in classes),
-        "basis_padded": basis_padded,
-        "row_weights": [bin(c).count("1") for c in kept],
-    }
-    return kept, info
-
-
-def build_code_algebraic(
-    graph: Graph,
-    target_k: int,
-    w_cap: int = DEFAULT_WEIGHT_CAP,
-    family: str = "custom",
-    kprime: Optional[int] = None,
-    separation_guard: bool = True,
-) -> CssCode:
-    """H_X from incidence; H_Z from the deterministic cycle completion with
-    exactly n - rank(hx) - target_k independent rows."""
-    if not graph.is_connected():
-        raise ValueError("algebraic construction requires a connected graph")
-    hx = incidence_matrix(graph)
-    n = graph.edge_count
-    r_z = n - rank(hx) - target_k
-    if r_z < 0:
-        raise ValueError(
-            f"target k = {target_k} too large: n - rank(hx) = {n - rank(hx)}"
-        )
-    rows, info = cycle_completion(hx, r_z, w_cap=w_cap, graph=graph,
-                                  separation_guard=separation_guard)
-    hz = BinaryMatrix.from_bitmasks(rows, n)
-    if not multiply(hx, hz.transpose()).is_zero():
-        raise AssertionError("completion rows left the cycle space; bug")
-    k = n - rank(hx) - rank(hz)
-    if k != target_k:
-        raise AssertionError(f"achieved k = {k} differs from target {target_k}")
-    code = CssCode(hx=hx, hz=hz, n=n, k=k, d_lower=1, d_found=None,
-                   mode="algebraic", family=family, kprime=kprime, genus=None,
-                   metadata=info)
-    return code
+                   family=family, kprime=kprime, genus=faces.genus)
 
 
 # -- distance ------------------------------------------------------------------
@@ -431,11 +235,9 @@ def write_bundle(code: CssCode, directory: str | Path) -> list[Path]:
         "k": code.k,
         "d_found": code.d_found,
         "d_lower": code.d_lower,
-        "mode": code.mode,
         "family": code.family,
         "kprime": code.kprime,
         "genus": code.genus,
-        "metadata": code.metadata,
     }
     json_path = directory / "code.json"
     json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -443,15 +245,28 @@ def write_bundle(code: CssCode, directory: str | Path) -> list[Path]:
     return paths
 
 
+def _json_int(payload: dict, key: str, optional: bool = False) -> Optional[int]:
+    value = payload.get(key)
+    if type(value) is int or (optional and value is None):
+        return value
+    raise ValueError(f"{key} must be an integer{' or null' if optional else ''}, "
+                     f"got {value!r}")
+
+
 def read_bundle(directory: str | Path) -> CssCode:
+    """Load a bundle; malformed content raises ValueError, a missing file
+    OSError."""
     directory = Path(directory)
     hx = BinaryMatrix.from_text((directory / "hx.txt").read_text())
     hz = BinaryMatrix.from_text((directory / "hz.txt").read_text())
     payload = json.loads((directory / "code.json").read_text())
+    if not isinstance(payload, dict) or not isinstance(payload.get("family"), str):
+        raise ValueError("code.json must be an object with a string family")
     return CssCode(
-        hx=hx, hz=hz, n=payload["n"], k=payload["k"],
-        d_lower=payload["d_lower"], d_found=payload["d_found"],
-        mode=payload["mode"], family=payload["family"],
-        kprime=payload["kprime"], genus=payload["genus"],
-        metadata=payload.get("metadata", {}),
+        hx=hx, hz=hz, n=_json_int(payload, "n"), k=_json_int(payload, "k"),
+        d_lower=_json_int(payload, "d_lower"),
+        d_found=_json_int(payload, "d_found", optional=True),
+        family=payload["family"],
+        kprime=_json_int(payload, "kprime", optional=True),
+        genus=_json_int(payload, "genus", optional=True),
     )

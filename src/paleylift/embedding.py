@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from .gf2 import BinaryMatrix, multiply, rank
-from .graphs import Graph, SearchBudgetExceeded, find_isomorphism
+from .graphs import Graph, SearchBudgetExceeded, find_isomorphism, is_int_pair
 
 DEFAULT_SEARCH_BUDGET = 50_000_000
 
@@ -28,11 +28,6 @@ def incident_darts(graph: Graph) -> list[list[int]]:
         inc[u].append(2 * e)
         inc[v].append(2 * e + 1)
     return [sorted(d) for d in inc]
-
-
-def dart_vertex(graph: Graph, dart: int) -> int:
-    u, v = graph.edges[dart >> 1]
-    return u if dart & 1 == 0 else v
 
 
 @dataclass(frozen=True)
@@ -365,10 +360,16 @@ def rotation_to_json(rs: RotationSystem) -> str:
 
 
 def rotation_from_json(text: str, graph: Graph) -> RotationSystem:
+    """Parse rotation JSON for graph; any malformed content raises ValueError."""
     payload = json.loads(text)
-    rotations = tuple(
-        tuple(2 * e + end for e, end in rot) for rot in payload["rotations"]
-    )
+    rots = payload.get("rotations") if isinstance(payload, dict) else None
+    if not isinstance(rots, list) or not all(
+            isinstance(rot, list)
+            and all(is_int_pair(d) and d[1] in (0, 1) for d in rot)
+            for rot in rots):
+        raise ValueError("rotations must be a list of [[edge, end], ...] lists "
+                         "with end 0 or 1")
+    rotations = tuple(tuple(2 * e + end for e, end in rot) for rot in rots)
     return RotationSystem(graph=graph, rotations=rotations)
 
 

@@ -70,23 +70,6 @@ class Graph:
                     stack.append(x)
         return len(seen) == self.vertex_count
 
-    def connected_components(self) -> int:
-        seen: set[int] = set()
-        count = 0
-        for start in range(self.vertex_count):
-            if start in seen:
-                continue
-            count += 1
-            stack = [start]
-            seen.add(start)
-            while stack:
-                w = stack.pop()
-                for x in self.adjacency[w]:
-                    if x not in seen:
-                        seen.add(x)
-                        stack.append(x)
-        return count
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Graph)
                 and self.vertex_count == other.vertex_count
@@ -105,10 +88,6 @@ class IsomorphismCertificate:
 
     mapping: tuple[int, ...]
     verified: bool
-
-    def apply(self, graph: Graph) -> Graph:
-        m = self.mapping
-        return Graph(graph.vertex_count, [(m[u], m[v]) for u, v in graph.edges])
 
 
 def verify_isomorphism(source: Graph, target: Graph, mapping: tuple[int, ...]) -> bool:
@@ -228,14 +207,27 @@ def adjacency_matrix(graph: Graph) -> BinaryMatrix:
 
 # -- JSON persistence --------------------------------------------------------
 
+def is_int_pair(value: object) -> bool:
+    """True for a JSON list of exactly two integers (booleans excluded)."""
+    return (isinstance(value, list) and len(value) == 2
+            and all(type(x) is int for x in value))
+
+
 def graph_to_json(graph: Graph) -> str:
     payload = {"vertex_count": graph.vertex_count,
                "edges": [list(e) for e in graph.edges]}
     return json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
 
+
 def graph_from_json(text: str) -> Graph:
+    """Parse graph JSON; any malformed content raises ValueError."""
     payload = json.loads(text)
-    return Graph(payload["vertex_count"], [tuple(e) for e in payload["edges"]])
+    if not isinstance(payload, dict) or type(payload.get("vertex_count")) is not int:
+        raise ValueError("expected an object with an integer vertex_count")
+    edges = payload.get("edges")
+    if not isinstance(edges, list) or not all(is_int_pair(e) for e in edges):
+        raise ValueError("edges must be a list of [u, v] integer pairs")
+    return Graph(payload["vertex_count"], [tuple(e) for e in edges])
 
 
 def write_graph(graph: Graph, path: str | Path) -> None:

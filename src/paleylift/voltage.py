@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .embedding import RotationSystem
 from .gf2 import BinaryMatrix
 from .graphs import Graph
 
@@ -115,6 +116,34 @@ def lift(vg: VoltageGraph) -> Graph:
             if g < g ^ a:
                 edges.append((size + g, size + (g ^ a)))
     return Graph(2 * size, edges)
+
+
+def derived_embedding(vg: VoltageGraph) -> RotationSystem:
+    """Derived embedding of the lift (Gross & Tucker, Topological Graph
+    Theory, 1987, ch. 4) from the index-order base rotation.
+
+    Every u_g lists its links, then its half edges, each in the order vg
+    holds them (ascending voltage from build_voltage_graph); every v_g does
+    the same with the half edges at v.  All vertices of a fibre share one
+    rotation, so every face is a lift of a base face.
+    """
+    graph = lift(vg)
+    size = 1 << vg.t
+
+    def dart(x: int, y: int) -> int:
+        return 2 * graph.edge_index[(min(x, y), max(x, y))] + (x > y)
+
+    u_rotations = tuple(
+        tuple(dart(g, size + (g ^ a)) for a in vg.links)
+        + tuple(dart(g, g ^ a) for a in vg.half_edges_u)
+        for g in range(size)
+    )
+    v_rotations = tuple(
+        tuple(dart(size + g, g ^ a) for a in vg.links)
+        + tuple(dart(size + g, size + (g ^ a)) for a in vg.half_edges_v)
+        for g in range(size)
+    )
+    return RotationSystem(graph, u_rotations + v_rotations)
 
 
 def block_adjacency(t: int) -> BinaryMatrix:

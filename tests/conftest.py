@@ -31,5 +31,6 @@ def paley9_rotation(paley9):
 
 @pytest.fixture(scope="session")
 def lift3_code(lift3):
-    """The [[60,30]] algebraic-mode code (built once per session)."""
-    return css.build_code_algebraic(lift3, target_k=30, family="voltage", kprime=1)
+    """The [[60,30]] surface code of the t=3 derived embedding."""
+    rotation = voltage.derived_embedding(voltage.build_voltage_graph(3))
+    return css.build_code_embedding(lift3, rotation, family="voltage", kprime=1)

@@ -87,15 +87,17 @@ def test_criterion_3_18_2_3_end_to_end(paley9, tmp_path):
 
 
 def test_criterion_4_60_30_end_to_end(lift3):
-    with criterion(4, "[[60,30,d>=3]] end-to-end"):
+    with criterion(4, "[[60,30,3]] end-to-end"):
         t0 = time.perf_counter()
         assert lift3.vertex_count == 16
         assert lift3.edge_count == 60
         assert voltage.block_adjacency(3) == graphs.adjacency_matrix(lift3)
 
-        code = css.build_code_algebraic(lift3, target_k=30,
+        rotation = voltage.derived_embedding(voltage.build_voltage_graph(3))
+        assert rotation.graph == lift3
+        code = css.build_code_embedding(lift3, rotation,
                                         family="voltage", kprime=1)
-        assert (code.n, code.k) == (60, 30)
+        assert (code.n, code.k, code.genus) == (60, 30, 15)
         assert gf2.multiply(code.hx, code.hz.transpose()).is_zero()
 
         bound = css.distance_search(code, 2)
@@ -104,8 +106,10 @@ def test_criterion_4_60_30_end_to_end(lift3):
 
         achieved = css.distance_search(code, 3)
         elapsed = time.perf_counter() - t0
-        print(f"  [completion distance at w_max=3: {achieved.conclusion}; "
-              f"total {elapsed:.1f}s]")
+        assert achieved.d_found == 3
+        assert css.verify_witness(code, "Z", achieved.dz_witness)
+        assert css.verify_witness(code, "X", achieved.dx_witness)
+        print(f"  [{achieved.conclusion}; total {elapsed:.1f}s]")
         assert elapsed < 300, f"took {elapsed:.1f}s"
 
 

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,8 @@ def test_lift_t3(tmp_path):
     assert (g.vertex_count, g.edge_count) == (16, 60)
     adj = (out / "adjacency.txt").read_text().splitlines()
     assert adj[0] == "16 16"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert str(out / "rotation.json") in manifest["outputs"]
 
 
 def test_lift_t2_usage_error(tmp_path):
@@ -59,11 +62,15 @@ def test_manifest_digests(tmp_path):
 
 
 def test_builder_outputs_byte_identical(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    for out in (a, b):
-        assert run("paley", 3, 2, "--modulus", "2,1,1", "--out", out) == 0
-    for name in ("graph.json", "adjacency.txt"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+    for label, argv, names in (
+        ("paley", ("paley", 3, 2, "--modulus", "2,1,1"), ("graph.json", "adjacency.txt")),
+        ("lift", ("lift", 3), ("graph.json", "rotation.json", "adjacency.txt")),
+    ):
+        a, b = tmp_path / label / "a", tmp_path / label / "b"
+        for out in (a, b):
+            assert run(*argv, "--out", out) == 0
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_code_bundles_byte_identical(tmp_path):
@@ -97,27 +104,31 @@ def test_full_pipeline_embedding(tmp_path):
     assert run("verify", bundle) == 0
 
 
-def test_full_pipeline_algebraic(tmp_path):
+def test_full_pipeline_lift(tmp_path):
     lift_dir = tmp_path / "lift3"
     bundle = tmp_path / "bundle60"
     assert run("lift", 3, "--out", lift_dir) == 0
-    assert run("code", lift_dir / "graph.json", "--algebraic", "--target-k", 30,
+    assert run("code", lift_dir / "graph.json",
+               "--rotation", lift_dir / "rotation.json",
                "--family", "voltage", "--kprime", 1, "--out", bundle) == 0
     payload = json.loads((bundle / "code.json").read_text())
-    assert (payload["n"], payload["k"]) == (60, 30)
+    assert (payload["n"], payload["k"], payload["genus"]) == (60, 30, 15)
     assert run("distance", bundle, "--max-weight", 2) == 0
     payload = json.loads((bundle / "code.json").read_text())
     assert payload["d_found"] is None
     assert payload["d_lower"] == 3
+    assert run("distance", bundle, "--max-weight", 3) == 0
+    payload = json.loads((bundle / "code.json").read_text())
+    assert (payload["d_found"], payload["d_lower"]) == (3, 3)
     assert run("verify", bundle) == 0
 
 
 def test_code_requires_exactly_one_mode(tmp_path):
     paley_dir = tmp_path / "p"
     assert run("paley", 3, 2, "--out", paley_dir) == 0
-    graph = paley_dir / "graph.json"
-    assert run("code", graph, "--out", tmp_path / "b1") == 2
-    assert run("code", graph, "--algebraic", "--out", tmp_path / "b2") == 2
+    with pytest.raises(SystemExit) as exc:
+        run("code", paley_dir / "graph.json", "--out", tmp_path / "b1")
+    assert exc.value.code == 2
 
 
 def test_verify_flags_corruption(tmp_path):
@@ -142,15 +153,9 @@ def test_verify_empty_bundle_usage_error(tmp_path):
 def test_code_bad_graph_file_usage_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"vertex_count": 2, "edges": [[0, 0]]}')
-    assert run("code", bad, "--algebraic", "--target-k", 0,
-               "--out", tmp_path / "b") == 2
-
-
-def test_code_target_k_too_large_usage_error(tmp_path):
-    paley_dir = tmp_path / "p"
-    run("paley", 3, 2, "--out", paley_dir)
-    assert run("code", paley_dir / "graph.json", "--algebraic",
-               "--target-k", 99, "--out", tmp_path / "b") == 2
+    rot = tmp_path / "rot.json"
+    rot.write_text('{"rotations": [[], []]}')
+    assert run("code", bad, "--rotation", rot, "--out", tmp_path / "b") == 2
 
 
 def test_verify_unreadable_matrix_fails(tmp_path):
@@ -210,3 +215,46 @@ def test_usage_error_exit_code_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["table", "--family", "nonsense", "--kprime-max", "2"])
     assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def lift3_workdir(tmp_path_factory):
+    """lift 3 outputs plus a bundle/ holding a [[60,30,3]] code and witnesses."""
+    work = tmp_path_factory.mktemp("lift3")
+    assert run("lift", 3, "--out", work) == 0
+    assert run("code", work / "graph.json", "--rotation", work / "rotation.json",
+               "--out", work / "bundle") == 0
+    assert run("distance", work / "bundle", "--max-weight", 3) == 0
+    return work
+
+
+@pytest.mark.parametrize("target, content, command, expected", [
+    ("graph.json", '{"vertex_count":"3","edges":[]}', "code", 2),
+    ("graph.json", "[]", "code", 2),
+    ("graph.json", '{"vertex_count":3,"edges":[1]}', "code", 2),
+    ("rotation.json", '{"rotations":[1,2]}', "code", 2),
+    ("rotation.json", '{"rotations":[[[0,"x"]]]}', "code", 2),
+    ("bundle/dz_witness.json", "{", "verify", 1),
+    ("bundle/dz_witness.json", '{"side":"Z"}', "verify", 1),
+    ("bundle/dz_witness.json", '{"side":"Z","weight":1,"support":["a"]}',
+     "verify", 1),
+    ("bundle/code.json", '{"n":"x","k":30,"d_found":3,"d_lower":3,'
+     '"family":"custom","kprime":null,"genus":15}', "verify", 1),
+    ("bundle/code.json", '{"n":"x","k":30,"d_found":3,"d_lower":3,'
+     '"family":"custom","kprime":null,"genus":15}', "distance", 2),
+    ("graph.json", '{"vertex_count":4,"edges":[[0,1],[2,3]]}', "embed-search", 2),
+])
+def test_malformed_input_exits_without_traceback(lift3_workdir, tmp_path,
+                                                 target, content, command, expected):
+    work = tmp_path / "w"
+    shutil.copytree(lift3_workdir, work)
+    (work / target).write_text(content)
+    argv = {
+        "code": ("code", work / "graph.json", "--rotation", work / "rotation.json",
+                 "--out", work / "out"),
+        "verify": ("verify", work / "bundle"),
+        "distance": ("distance", work / "bundle", "--max-weight", 1),
+        "embed-search": ("embed-search", work / "graph.json", "--genus", 0,
+                         "--out", work / "found.json"),
+    }[command]
+    assert run(*argv) == expected

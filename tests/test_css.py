@@ -1,16 +1,13 @@
 import pytest
 
-from paleylift import gf2, graphs
+from paleylift import gf2
 from paleylift.css import (
     CssCode,
     apply_distance_report,
-    build_code_algebraic,
     build_code_embedding,
-    cycle_completion,
     distance_search,
     family_parameters,
     read_bundle,
-    simple_cycles,
     verify_witness,
     write_bundle,
 )
@@ -33,7 +30,6 @@ def test_embedding_code_paley9(paley9, paley9_rotation):
                                 family="paley", kprime=0)
     assert (code.n, code.k) == (18, 2)
     assert code.genus == 1
-    assert code.mode == "embedding"
     code.validate()
 
 
@@ -48,89 +44,6 @@ def test_embedding_code_c4_trivial():
 def test_embedding_rejects_wrong_graph(paley9, paley9_rotation):
     with pytest.raises(ValueError, match="different graph"):
         build_code_embedding(cycle_graph(4), paley9_rotation)
-
-
-# -- algebraic completion --------------------------------------------------------
-
-def test_simple_cycle_catalog_triangle():
-    cat = simple_cycles(triangle(), 8)
-    assert cat == [0b111]
-
-
-def test_simple_cycle_catalog_ordering(paley9):
-    cat = simple_cycles(paley9.graph, 4)
-    weights = [bin(c).count("1") for c in cat]
-    assert weights == sorted(weights)
-    assert all(w in (3, 4) for w in weights)
-
-
-def test_algebraic_triangle_k0():
-    code = build_code_algebraic(triangle(), target_k=0)
-    assert (code.n, code.k) == (3, 0)
-    assert code.hz.row_bits == (0b111,)  # the single triangle cycle
-    code.validate()
-
-
-def test_algebraic_lift3(lift3):
-    code = build_code_algebraic(lift3, target_k=30, family="voltage", kprime=1)
-    assert (code.n, code.k) == (60, 30)
-    assert code.hz.rows == 15
-    assert gf2.rank(code.hz) == 15
-    assert gf2.multiply(code.hx, code.hz.transpose()).is_zero()
-    assert code.metadata["separated"] is True
-    assert code.metadata["basis_padded"] is False
-    # every row is a cycle: lies in ker(hx)
-    for v in code.hz.row_bits:
-        for row in code.hx.row_bits:
-            assert bin(row & v).count("1") % 2 == 0
-    code.validate()
-
-
-def test_algebraic_paley9(paley9):
-    code = build_code_algebraic(paley9.graph, target_k=2,
-                                family="paley", kprime=0)
-    assert (code.n, code.k) == (18, 2)
-    assert code.hz.rows == 18 - 8 - 2
-    code.validate()
-
-
-def test_algebraic_modes_agree_on_nk(paley9, paley9_rotation):
-    emb = build_code_embedding(paley9.graph, paley9_rotation)
-    alg = build_code_algebraic(paley9.graph, target_k=2)
-    assert (emb.n, emb.k) == (alg.n, alg.k)
-
-
-def test_algebraic_target_too_large(paley9):
-    with pytest.raises(ValueError, match="too large"):
-        build_code_algebraic(paley9.graph, target_k=11)
-
-
-def test_unguarded_completion_shows_why_the_guard_exists(lift3):
-    # the pure lowest-weight greedy fills every slot with triangles and
-    # leaves zero columns, i.e. weight-1 logical operators
-    code = build_code_algebraic(lift3, target_k=30, separation_guard=False)
-    assert all(w == 3 for w in code.metadata["row_weights"])
-    report = distance_search(code, 1)
-    assert report.d_found == 1
-    # the guarded completion removes every weight-<=2 logical
-    guarded = build_code_algebraic(lift3, target_k=30)
-    assert distance_search(guarded, 2).d_found is None
-
-
-def test_completion_is_deterministic(paley9):
-    a = build_code_algebraic(paley9.graph, target_k=2)
-    b = build_code_algebraic(paley9.graph, target_k=2)
-    assert a.hz == b.hz
-
-
-def test_completion_basis_padding_flag():
-    # an 8-cycle's only cycles are the full loop, so w_cap=4 forces the
-    # kernel-basis fallback
-    g = cycle_graph(8)
-    hx = graphs.incidence_matrix(g)
-    rows, info = cycle_completion(hx, 1, w_cap=4, graph=g)
-    assert info["basis_padded"] is True
-    assert len(rows) == 1
 
 
 # -- distance ---------------------------------------------------------------------
@@ -153,17 +66,6 @@ def test_distance_lift3_lower_bound(lift3_code):
     assert report.conclusion == "d > 2"
 
 
-def test_distance_paley9_both_modes(paley9, paley9_rotation):
-    # embedding mode is pinned to d = 3; the algebraic completion's distance
-    # is computed and reported alongside (it also reaches 3 here)
-    emb = build_code_embedding(paley9.graph, paley9_rotation)
-    alg = build_code_algebraic(paley9.graph, target_k=2)
-    emb_report = distance_search(emb, 3)
-    alg_report = distance_search(alg, 3)
-    assert emb_report.d_found == 3
-    assert alg_report.d_found == 3
-
-
 def test_distance_toric_bound_then_witness():
     # 2x2 toric code has weight-2 logicals; w_max=1 must report only a bound
     hx = gf2.BinaryMatrix.from_rows([
@@ -179,7 +81,7 @@ def test_distance_toric_bound_then_witness():
         [0, 1, 0, 1, 0, 0, 1, 1],
     ])
     code = CssCode(hx=hx, hz=hz, n=8, k=2, d_lower=1, d_found=None,
-                   mode="embedding", family="custom")
+                   family="custom")
     bound = distance_search(code, 1)
     assert bound.d_found is None and bound.conclusion == "d > 1"
     exact = distance_search(code, 2)
@@ -203,7 +105,9 @@ def test_distance_budget_rejected(lift3_code):
 
 
 def test_distance_k0_code_has_no_logicals():
-    code = build_code_algebraic(triangle(), target_k=0)
+    g = triangle()
+    code = build_code_embedding(g, RotationSystem.from_index_order(g))
+    assert (code.n, code.k, code.genus) == (3, 0, 0)
     report = distance_search(code, 3)
     assert report.d_found is None
     assert report.d_lower == 4

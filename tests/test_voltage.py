@@ -1,12 +1,13 @@
 import pytest
 
-from paleylift import graphs
+from paleylift import css, embedding, graphs
 from paleylift.voltage import (
     VoltageGraph,
     block_adjacency,
     build_voltage_graph,
     class_members,
     classify_vectors,
+    derived_embedding,
     lift,
 )
 
@@ -176,3 +177,21 @@ def test_lift_h3_fiber_structure(lift3):
     for a in vg.half_edges_v:
         for g in range(8):
             assert lift3.has_edge(8 + g, 8 + (g ^ a))
+
+
+@pytest.mark.parametrize("t", [3, 4, 5])
+def test_derived_embedding_is_self_dual(t):
+    vg = build_voltage_graph(t)
+    rotation = derived_embedding(vg)
+    assert rotation.graph == lift(vg)
+    code = css.build_code_embedding(rotation.graph, rotation)
+    expected = css.family_parameters("voltage", 2 ** (t - 2) - 1)
+    assert (code.n, code.k, code.genus) == (expected.n, expected.k, expected.genus)
+    faces = embedding.trace_faces(rotation)
+    assert len(faces.faces) == 2 ** (t + 1)
+    assert {len(f) for f in faces.faces} == {2 ** t - 1, 2 ** t}
+    dual = embedding.dual_graph(rotation, faces)
+    assert dual.is_simple
+    if t <= 4:
+        cert = graphs.find_isomorphism(dual.graph, rotation.graph)
+        assert cert is not None and cert.verified
