@@ -194,7 +194,7 @@ def cmd_distance(args: argparse.Namespace, argv: list[str]) -> int:
         return _usage_error(str(exc))
     timings["search"] = time.perf_counter() - t0
     css.apply_distance_report(code, report)
-    outputs = css.write_bundle(code, bundle)
+    outputs = [css.write_code_json(code, bundle)]
     for side, witness in (("dz", report.dz_witness), ("dx", report.dx_witness)):
         if witness is not None:
             p = bundle / f"{side}_witness.json"
@@ -345,10 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["text", "alist"])
     p.set_defaults(func=cmd_code)
 
-    p = sub.add_parser("distance", help="bounded minimum-distance search on a bundle")
+    p = sub.add_parser("distance",
+                       help="exact minimum distance of a surface-code bundle up to "
+                            "--max-weight; rewrites code.json and the witnesses")
     p.add_argument("bundle", help="code bundle directory")
     p.add_argument("--max-weight", type=int, required=True, dest="max_weight")
-    p.add_argument("--budget", type=int, default=css.DEFAULT_ENUMERATION_BUDGET)
+    p.add_argument("--budget", type=int, default=css.DEFAULT_ENUMERATION_BUDGET,
+                   help="bound on the engine's work estimate, the sum over "
+                        "H_X and H_Z of rows x cols")
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("table", help="closed-form family parameter table")

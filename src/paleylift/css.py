@@ -5,9 +5,7 @@ matrix of a rotation system, so k = 2 * genus.
 """
 from __future__ import annotations
 
-import itertools
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -87,29 +85,97 @@ class DistanceReport:
     conclusion: str
 
 
-def _search_side(
+def _cycle_graph(h: BinaryMatrix,
+                 name: str) -> tuple[list[list[tuple[int, int]]], list[int]]:
+    """The graph whose vertices are the rows of h and whose edges are its
+    columns: adjacency lists of (neighbour, column), and the loops (columns
+    of weight 0).  ker(h) is then the graph's cycle space."""
+    ends: list[list[int]] = [[] for _ in range(h.cols)]
+    for i, row in enumerate(h.row_bits):
+        while row:
+            low = row & -row
+            ends[low.bit_length() - 1].append(i)
+            row ^= low
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(h.rows)]
+    loops = []
+    for j, rows in enumerate(ends):
+        if len(rows) == 2:
+            u, v = rows
+            adjacency[u].append((v, j))
+            adjacency[v].append((u, j))
+        elif not rows:
+            loops.append(j)
+        else:
+            raise ValueError(f"{name} column {j} has weight {len(rows)}; the distance "
+                             f"engine needs a surface code (column weights 0 or 2)")
+    return adjacency, loops
+
+
+def _systole_side(
     kernel_of: BinaryMatrix,
     modulo: BinaryMatrix,
     w_max: int,
+    name: str,
 ) -> Optional[tuple[int, ...]]:
-    """Minimum-weight vector in ker(kernel_of) outside rowspace(modulo),
-    weight <= w_max, in (weight, combination) order."""
-    n = kernel_of.cols
-    syndromes = [kernel_of.column_mask(j) for j in range(n)]
+    """A minimum-weight vector of ker(kernel_of) outside rowspace(modulo)
+    if its weight is <= w_max, else None: the smallest (weight, sorted
+    support) candidate below.
+
+    Every column of kernel_of has weight 0 or 2, so the kernel is the cycle
+    space of _cycle_graph(kernel_of).  The cycles outside a subspace satisfy
+    Thomassen's 3-path condition (Thomassen, JCTB 48, 1990): a shortest one,
+    C, is the sum of the fundamental cycles of its non-tree edges in a BFS
+    tree rooted on C, so one of those is outside the subspace too, and each
+    is no longer than C because its edge xy has depth(x) + depth(y) + 1 <=
+    len(C).  The candidates are therefore the loops and, from every root,
+    path(x) ^ path(y) ^ e for every non-tree edge e = xy of the BFS ball of
+    radius w_max // 2 with depth(x) + depth(y) + 1 <= w_max.
+
+    At weight <= 3 the result is also the smallest (weight, sorted support)
+    of all such vectors: a smaller one would swap in the lowest of a set of
+    parallel edges, and BFS takes that one into the tree.
+    """
+    adjacency, loops = _cycle_graph(kernel_of, name)
     quotient = RowSpace(modulo)
-    for w in range(1, w_max + 1):
-        for comb in itertools.combinations(range(n), w):
-            s = 0
-            for j in comb:
-                s ^= syndromes[j]
-            if s:
-                continue
-            v = 0
-            for j in comb:
-                v |= 1 << j
-            if not quotient.contains(v):
-                return comb
-    return None
+    best_weight, best = w_max, 0   # best == 0 until a witness is found
+
+    def offer(v: int) -> None:
+        nonlocal best_weight, best
+        weight = v.bit_count()
+        if weight > best_weight:
+            return
+        if weight == best_weight and best:
+            # Of two supports of equal size, the sorted one that comes first
+            # holds the lowest column in which they differ.
+            differ = v ^ best
+            if not v & differ & -differ:
+                return
+        if not quotient.contains(v):
+            best_weight, best = weight, v
+
+    for j in loops:
+        offer(1 << j)
+    for root in range(len(adjacency)):
+        path = {root: 0}   # vertex -> columns of its tree path to the root
+        tree = set()
+        frontier = [root]
+        for _ in range(w_max // 2):
+            reached = []
+            for x in frontier:
+                for y, j in adjacency[x]:
+                    if y not in path:
+                        path[y] = path[x] | (1 << j)
+                        tree.add(j)
+                        reached.append(y)
+            frontier = reached
+        # the vertices at depth w_max / 2, whose edges among themselves are too long
+        rim = set() if w_max % 2 else set(frontier)
+        for x, to_x in path.items():
+            for y, j in adjacency[x]:
+                if (x < y and j not in tree and y in path
+                        and not (x in rim and y in rim)):
+                    offer(to_x ^ path[y] ^ (1 << j))
+    return tuple(j for j in range(kernel_of.cols) if best >> j & 1) if best else None
 
 
 def distance_search(
@@ -117,21 +183,24 @@ def distance_search(
     w_max: int,
     enumeration_budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> DistanceReport:
-    """Exhaustive logical-operator search up to weight w_max.
+    """Exact minimum-weight logical search up to weight w_max.
 
     Z side looks in ker(hx) minus rowspace(hz); X side in ker(hz) minus
-    rowspace(hx).  The reported distance is the minimum over both sides;
-    with no witness the result is the verified bound d > w_max.
+    rowspace(hx).  Each side's witness is a minimum-weight logical of weight
+    <= w_max (see _systole_side).  The reported distance is the minimum over
+    both sides; with no witness the result is the verified bound d > w_max.
+    The budget bounds the up-front work estimate, the sum over both sides of
+    rows x cols.  A column of weight other than 0 or 2 raises ValueError.
     """
     if w_max < 1:
         raise ValueError("w_max must be at least 1")
-    total = sum(math.comb(code.n, w) for w in range(1, w_max + 1))
-    if total > enumeration_budget:
+    work = code.hx.rows * code.hx.cols + code.hz.rows * code.hz.cols
+    if work > enumeration_budget:
         raise ValueError(
-            f"enumerating {total} supports exceeds the budget {enumeration_budget}"
+            f"distance work estimate {work} exceeds the budget {enumeration_budget}"
         )
-    dz = _search_side(code.hx, code.hz, w_max)
-    dx = _search_side(code.hz, code.hx, w_max)
+    dz = _systole_side(code.hx, code.hz, w_max, "H_X")
+    dx = _systole_side(code.hz, code.hx, w_max, "H_Z")
     weights = [len(w) for w in (dz, dx) if w is not None]
     if weights:
         d = min(weights)
@@ -230,6 +299,12 @@ def write_bundle(code: CssCode, directory: str | Path) -> list[Path]:
     hz_path = directory / "hz.txt"
     hz_path.write_text(code.hz.to_text())
     paths.append(hz_path)
+    paths.append(write_code_json(code, directory))
+    return paths
+
+
+def write_code_json(code: CssCode, directory: str | Path) -> Path:
+    """Write the bundle's code.json, leaving hx.txt and hz.txt alone."""
     payload = {
         "n": code.n,
         "k": code.k,
@@ -239,10 +314,9 @@ def write_bundle(code: CssCode, directory: str | Path) -> list[Path]:
         "kprime": code.kprime,
         "genus": code.genus,
     }
-    json_path = directory / "code.json"
+    json_path = Path(directory) / "code.json"
     json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    paths.append(json_path)
-    return paths
+    return json_path
 
 
 def _json_int(payload: dict, key: str, optional: bool = False) -> Optional[int]:

@@ -245,16 +245,24 @@ class RowSpace:
         self.cols = m.cols
         self.pivots = pivots
         self._rows_by_pivot = {p: reduced[i] for i, p in enumerate(pivots)}
+        self._pivot_mask = sum(1 << p for p in pivots)
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
     def reduce(self, v: int) -> int:
-        """Reduce a bitmask vector against the basis; 0 iff v is in the span."""
-        for p, row in self._rows_by_pivot.items():
-            if (v >> p) & 1:
-                v ^= row
+        """Reduce a bitmask vector against the basis; 0 iff v is in the span.
+
+        The basis is in reduced row echelon form, so each row carries exactly
+        one pivot and XOR-ing it changes no other pivot bit of v: the rows to
+        XOR are those at the pivots set in v, O(min(weight, rank)) of them.
+        """
+        hits = v & self._pivot_mask
+        while hits:
+            low = hits & -hits
+            v ^= self._rows_by_pivot[low.bit_length() - 1]
+            hits ^= low
         return v
 
     def contains(self, v: int) -> bool:

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .embedding import RotationSystem
 from .gf2 import BinaryMatrix
 from .graphs import Graph
@@ -158,6 +156,8 @@ def block_adjacency(t: int) -> BinaryMatrix:
     """
     if t < 3:
         raise ValueError(f"the construction requires t >= 3, got {t}")
+    import numpy as np   # only here: importing it is most of the CLI's start-up
+
     ident = np.eye(2, dtype=np.int64)
     swap = np.array([[0, 1], [1, 0]], dtype=np.int64)
     plus = ident + swap

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from paleylift import css, embedding, fields, paley, voltage
+from paleylift import css, embedding, fields, gf2, paley, voltage
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +34,22 @@ def lift3_code(lift3):
     """The [[60,30]] surface code of the t=3 derived embedding."""
     rotation = voltage.derived_embedding(voltage.build_voltage_graph(3))
     return css.build_code_embedding(lift3, rotation, family="voltage", kprime=1)
+
+
+@pytest.fixture(scope="session")
+def toric2x2_code():
+    """The 2x2 toric code, [[8,2,2]]: its graph and dual have multi-edges."""
+    hx = gf2.BinaryMatrix.from_rows([
+        [1, 1, 0, 0, 1, 0, 1, 0],
+        [1, 1, 0, 0, 0, 1, 0, 1],
+        [0, 0, 1, 1, 1, 0, 1, 0],
+        [0, 0, 1, 1, 0, 1, 0, 1],
+    ])
+    hz = gf2.BinaryMatrix.from_rows([
+        [1, 0, 1, 0, 1, 1, 0, 0],
+        [0, 1, 0, 1, 1, 1, 0, 0],
+        [1, 0, 1, 0, 0, 0, 1, 1],
+        [0, 1, 0, 1, 0, 0, 1, 1],
+    ])
+    return css.CssCode(hx=hx, hz=hz, n=8, k=2, d_lower=1, d_found=None,
+                       family="custom")

@@ -120,6 +120,10 @@ def test_full_pipeline_lift(tmp_path):
     assert run("distance", bundle, "--max-weight", 3) == 0
     payload = json.loads((bundle / "code.json").read_text())
     assert (payload["d_found"], payload["d_lower"]) == (3, 3)
+    # distance leaves hx.txt and hz.txt alone
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    assert sorted(manifest["outputs"]) == sorted(
+        str(bundle / name) for name in ("code.json", "dz_witness.json", "dx_witness.json"))
     assert run("verify", bundle) == 0
 
 
@@ -228,6 +232,12 @@ def lift3_workdir(tmp_path_factory):
     return work
 
 
+def _flip_first_bit(text):
+    """Matrix text with its first entry flipped: one column of weight 1 or 3."""
+    header, first, rest = text.split("\n", 2)
+    return "\n".join([header, ("1" if first[0] == "0" else "0") + first[1:], rest])
+
+
 @pytest.mark.parametrize("target, content, command, expected", [
     ("graph.json", '{"vertex_count":"3","edges":[]}', "code", 2),
     ("graph.json", "[]", "code", 2),
@@ -243,12 +253,15 @@ def lift3_workdir(tmp_path_factory):
     ("bundle/code.json", '{"n":"x","k":30,"d_found":3,"d_lower":3,'
      '"family":"custom","kprime":null,"genus":15}', "distance", 2),
     ("graph.json", '{"vertex_count":4,"edges":[[0,1],[2,3]]}', "embed-search", 2),
+    ("bundle/hz.txt", _flip_first_bit, "distance", 2),
+    ("bundle/hz.txt", _flip_first_bit, "verify", 1),
 ])
 def test_malformed_input_exits_without_traceback(lift3_workdir, tmp_path,
                                                  target, content, command, expected):
     work = tmp_path / "w"
     shutil.copytree(lift3_workdir, work)
-    (work / target).write_text(content)
+    path = work / target
+    path.write_text(content(path.read_text()) if callable(content) else content)
     argv = {
         "code": ("code", work / "graph.json", "--rotation", work / "rotation.json",
                  "--out", work / "out"),

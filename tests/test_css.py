@@ -66,22 +66,10 @@ def test_distance_lift3_lower_bound(lift3_code):
     assert report.conclusion == "d > 2"
 
 
-def test_distance_toric_bound_then_witness():
+def test_distance_toric_bound_then_witness(toric2x2_code):
     # 2x2 toric code has weight-2 logicals; w_max=1 must report only a bound
-    hx = gf2.BinaryMatrix.from_rows([
-        [1, 1, 0, 0, 1, 0, 1, 0],
-        [1, 1, 0, 0, 0, 1, 0, 1],
-        [0, 0, 1, 1, 1, 0, 1, 0],
-        [0, 0, 1, 1, 0, 1, 0, 1],
-    ])
-    hz = gf2.BinaryMatrix.from_rows([
-        [1, 0, 1, 0, 1, 1, 0, 0],
-        [0, 1, 0, 1, 1, 1, 0, 0],
-        [1, 0, 1, 0, 0, 0, 1, 1],
-        [0, 1, 0, 1, 0, 0, 1, 1],
-    ])
-    code = CssCode(hx=hx, hz=hz, n=8, k=2, d_lower=1, d_found=None,
-                   family="custom")
+    code = toric2x2_code
+    hx, hz = code.hx, code.hz
     bound = distance_search(code, 1)
     assert bound.d_found is None and bound.conclusion == "d > 1"
     exact = distance_search(code, 2)

@@ -1,0 +1,130 @@
+"""The systole engine in `css.distance_search` against the brute-force
+oracle in distance_oracle.py."""
+import dataclasses
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from distance_oracle import brute_force_distance
+from paleylift import fields, paley, voltage
+from paleylift.css import (
+    build_code_embedding,
+    distance_search,
+    family_parameters,
+    verify_witness,
+)
+from paleylift.embedding import RotationSystem, incident_darts
+from paleylift.gf2 import BinaryMatrix
+from paleylift.graphs import Graph
+
+
+def multiplier_cayley_map(built: paley.PaleyGraph) -> RotationSystem:
+    """At x the neighbours x+1, x+l, x+l^2, ... with l = g^2 for the
+    canonical primitive element g: a self-dual embedding of the Paley graph."""
+    field, graph = built.field, built.graph
+    g = fields.primitive_element(field)
+    step = field.mul(g, g)
+    connection = [field.one]
+    while len(connection) < (field.order - 1) // 2:
+        connection.append(field.mul(connection[-1], step))
+    rotations = []
+    for x in range(field.order):
+        darts = []
+        for s in connection:
+            y = field.add(field.element(x), s).index
+            darts.append(2 * graph.edge_index[(min(x, y), max(x, y))] + (x > y))
+        rotations.append(tuple(darts))
+    return RotationSystem(graph, tuple(rotations))
+
+
+def _paley_code(p, r):
+    built = paley.build_paley(fields.make_field(p, r))
+    kprime = (p ** r - 9) // 8
+    code = build_code_embedding(built.graph, multiplier_cayley_map(built),
+                                family="paley", kprime=kprime)
+    expected = family_parameters("paley", kprime)
+    assert (code.n, code.k, code.genus) == (expected.n, expected.k, expected.genus)
+    return code
+
+
+def _lift_code(t):
+    rotation = voltage.derived_embedding(voltage.build_voltage_graph(t))
+    return build_code_embedding(rotation.graph, rotation, family="voltage")
+
+
+def _triangle_code():
+    g = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    return build_code_embedding(g, RotationSystem.from_index_order(g))
+
+
+BUILDERS = {
+    "paley9": lambda: _paley_code(3, 2),
+    "paley17": lambda: _paley_code(17, 1),
+    "paley25": lambda: _paley_code(5, 2),
+    "paley41": lambda: _paley_code(41, 1),
+    "lift3": lambda: _lift_code(3),
+    "lift4": lambda: _lift_code(4),
+    "triangle": _triangle_code,
+}
+
+
+@pytest.fixture(scope="module")
+def codes(toric2x2_code):
+    built = {name: build() for name, build in BUILDERS.items()}
+    built["toric2x2"] = toric2x2_code
+    return built
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+@pytest.mark.parametrize("name", [*BUILDERS, "toric2x2"])
+def test_engine_matches_brute_force(codes, name, w):
+    code = codes[name]
+    engine = distance_search(code, w)
+    # every code here has d <= 3 or no logicals, so the witnesses must agree too
+    assert engine == brute_force_distance(code, w)
+    for side, witness in (("Z", engine.dz_witness), ("X", engine.dx_witness)):
+        if witness is not None:
+            assert verify_witness(code, side, witness)
+
+
+@st.composite
+def embedded_graphs(draw):
+    """A connected simple graph on at most 8 vertices and 16 edges with a
+    random rotation system; its dual may have loops and multi-edges.  Half
+    the graphs are bipartite, so that their shortest cycles have length 4."""
+    n = draw(st.sampled_from(range(3, 9)))
+    bipartite = draw(st.booleans())
+    allowed = [(u, v) for u in range(n) for v in range(u + 1, n)
+               if not bipartite or (u + v) % 2]
+    tree = {(draw(st.sampled_from([u for u in range(v) if (u, v) in allowed])), v)
+            for v in range(1, n)}
+    others = [e for e in allowed if e not in tree]
+    extra = draw(st.permutations(others))[:draw(st.sampled_from(range(17 - len(tree))))]
+    graph = Graph(n, tree | set(extra))
+    return RotationSystem(graph, tuple(tuple(draw(st.permutations(darts)))
+                                       for darts in incident_darts(graph)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rotation=embedded_graphs(), w=st.integers(1, 4))
+def test_engine_agrees_with_brute_force_on_random_embeddings(rotation, w):
+    code = build_code_embedding(rotation.graph, rotation)
+    engine = distance_search(code, w)
+    oracle = brute_force_distance(code, w)
+    assert (engine.d_found, engine.d_lower) == (oracle.d_found, oracle.d_lower)
+    for got, want in ((engine.dz_witness, oracle.dz_witness),
+                      (engine.dx_witness, oracle.dx_witness)):
+        assert (got is None) == (want is None)
+        assert got is None or len(got) == len(want)
+        if got is not None and len(got) <= 3:
+            assert got == want
+    for side, witness in (("Z", engine.dz_witness), ("X", engine.dx_witness)):
+        if witness is not None:
+            assert verify_witness(code, side, witness)
+
+
+def test_column_of_wrong_weight_is_rejected(lift3_code):
+    rows = lift3_code.hz.row_bits
+    hz = BinaryMatrix(lift3_code.hz.rows, lift3_code.hz.cols, (rows[0] ^ 1,) + rows[1:])
+    with pytest.raises(ValueError, match="H_Z column 0 has weight"):
+        distance_search(dataclasses.replace(lift3_code, hz=hz), 3)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from paleylift import graphs
@@ -8,6 +10,7 @@ from paleylift.gf2 import (
     kernel_basis,
     multiply,
     rank,
+    _eliminate,
     standard_form,
 )
 
@@ -174,3 +177,24 @@ def test_row_space_membership():
     assert space.contains(0b011)  # row 0
     assert space.contains(0b101)  # row 0 + row 1
     assert not space.contains(0b001)
+
+
+def test_row_space_sparse_reduce_matches_dense_reduction():
+    # reference: XOR the basis row of every pivot, in pivot order, where v has it set
+    rng = random.Random(7)
+    for _ in range(200):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 40)
+        m = BinaryMatrix.from_bitmasks(
+            (rng.getrandbits(cols) & rng.getrandbits(cols) for _ in range(rows)), cols)
+        space = RowSpace(m)
+        reduced, pivots = _eliminate(m.row_bits, m.cols)
+        for _ in range(20):
+            v = rng.getrandbits(cols)
+            dense = v
+            for i, p in enumerate(pivots):
+                if (dense >> p) & 1:
+                    dense ^= reduced[i]
+            assert space.reduce(v) == dense
+            assert space.contains(v) == (dense == 0)
+            assert space.contains(v) == (rank(BinaryMatrix.from_bitmasks(
+                m.row_bits + (v,), cols)) == space.rank)
