@@ -383,7 +383,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, argv)
+    try:
+        return args.func(args, argv)
+    except OSError as exc:  # inputs are read under their own handlers
+        return _usage_error(f"cannot write output: {exc}")
 
 
 if __name__ == "__main__":

@@ -31,20 +31,6 @@ class CssCode:
     kprime: Optional[int] = None
     genus: Optional[int] = None
 
-    def validate(self) -> None:
-        if self.hx.cols != self.n or self.hz.cols != self.n:
-            raise ValueError("column counts disagree with n")
-        prod = multiply(self.hx, self.hz.transpose())
-        if not prod.is_zero():
-            raise ValueError("CSS condition hx hz^T = 0 violated")
-        k = self.n - rank(self.hx) - rank(self.hz)
-        if k != self.k:
-            raise ValueError(f"recorded k={self.k} but ranks give {k}")
-        if k < 0:
-            raise ValueError("negative logical count")
-        if self.d_found is not None and self.d_lower > self.d_found:
-            raise ValueError("distance lower bound exceeds found distance")
-
 
 def build_code_embedding(
     graph: Graph,

@@ -3,15 +3,18 @@
 Elements are indexed 0..p^r-1; index i encodes the polynomial whose
 coefficient vector (constant term first) is the base-p digit expansion
 of i.  For GF(9) this makes g_i = a*x + b with i = 3a + b.
+
+Addition works on indices digit by digit.  Every multiplicative operation
+reads one pair of exp/log tables for the canonical primitive element,
+built from the polynomial arithmetic on first use.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 MAX_FIELD_SIZE = 1 << 20
-TABLE_SIZE_LIMIT = 512  # full add/mul tables are kept for orders up to this
 
 
 class FieldConstructionError(ValueError):
@@ -191,101 +194,95 @@ class PrimePowerField:
             if x.field is not self:
                 raise ValueError("element belongs to a different field")
 
-    def _add_index(self, i: int, j: int) -> int:
-        ca = self.index_to_coeffs(i)
-        cb = self.index_to_coeffs(j)
-        n = max(len(ca), len(cb))
-        out = tuple(((ca[t] if t < len(ca) else 0) + (cb[t] if t < len(cb) else 0)) % self.p
-                    for t in range(n))
-        return self.coeffs_to_index(_poly_trim(out))
+    def add_index(self, i: int, j: int) -> int:
+        """Index of g_i + g_j: base-p digits added without carry."""
+        p, out, place = self.p, 0, 1
+        while i or j:
+            i, a = divmod(i, p)
+            j, b = divmod(j, p)
+            out += (a + b) % p * place
+            place *= p
+        return out
 
-    def _mul_index(self, i: int, j: int) -> int:
-        prod = _poly_mul(self.index_to_coeffs(i), self.index_to_coeffs(j), self.p)
-        _, rem = _poly_divmod(prod, self.modulus, self.p)
-        return self.coeffs_to_index(rem)
+    def neg_index(self, i: int) -> int:
+        """Index of -g_i: each base-p digit negated."""
+        p, out, place = self.p, 0, 1
+        while i:
+            i, a = divmod(i, p)
+            out += (-a) % p * place
+            place *= p
+        return out
+
+    def mul_index(self, i: int, j: int) -> int:
+        """Index of g_i * g_j, read from the exp/log tables."""
+        if i == 0 or j == 0:
+            return 0
+        exp, log = self._exp_log
+        return exp[(log[i] + log[j]) % len(exp)]
 
     @cached_property
-    def _tables(self) -> Optional[tuple[list[list[int]], list[list[int]]]]:
-        """Full addition and multiplication tables for small orders."""
-        if self.order > TABLE_SIZE_LIMIT:
-            return None
-        q = self.order
-        add_t = [[self._add_index(i, j) for j in range(q)] for i in range(q)]
-        mul_t = [[self._mul_index(i, j) for j in range(q)] for i in range(q)]
-        return add_t, mul_t
+    def _exp_log(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """exp[e] is the index of g^e for e < q-1, and log[exp[e]] = e.
+
+        g is the canonical primitive element: the smallest index whose
+        powers, computed as polynomials reduced by the modulus, first
+        return to 1 after q-1 steps.  Its orbit is the exp table.
+        """
+        n = self.order - 1
+        for c in range(1, self.order):
+            base = self.index_to_coeffs(c)
+            exp, acc = [1], base
+            while acc != (1,) and len(exp) <= n:  # bounded if the modulus is reducible
+                exp.append(self.coeffs_to_index(acc))
+                _, acc = _poly_divmod(_poly_mul(acc, base, self.p), self.modulus, self.p)
+            if len(exp) == n and acc == (1,):
+                log = [0] * self.order
+                for e, i in enumerate(exp):
+                    log[i] = e
+                return tuple(exp), tuple(log)
+        raise AssertionError("no generator found")  # unreachable for a field
 
     def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
         self._check(a, b)
-        tables = self._tables
-        if tables is not None:
-            return self.element(tables[0][a.index][b.index])
-        return self.element(self._add_index(a.index, b.index))
+        return self.element(self.add_index(a.index, b.index))
 
     def neg(self, a: FieldElement) -> FieldElement:
         self._check(a)
-        out = tuple((-c) % self.p for c in a.coeffs)
-        return self.element(self.coeffs_to_index(_poly_trim(out)))
+        return self.element(self.neg_index(a.index))
 
     def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
         return self.add(a, self.neg(b))
 
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
         self._check(a, b)
-        tables = self._tables
-        if tables is not None:
-            return self.element(tables[1][a.index][b.index])
-        return self.element(self._mul_index(a.index, b.index))
+        return self.element(self.mul_index(a.index, b.index))
 
     def pow(self, a: FieldElement, e: int) -> FieldElement:
+        self._check(a)
         if e < 0:
             raise ValueError("negative exponents not supported")
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        if a.index == 0:
+            return self.one if e == 0 else self.zero
+        exp, log = self._exp_log
+        return self.element(exp[log[a.index] * e % len(exp)])
 
     def multiplicative_order(self, a: FieldElement) -> int:
         self._check(a)
         if a.index == 0:
             raise ValueError("zero has no multiplicative order")
-        n = self.order - 1
-        order = n
-        for q in _prime_factors(n):
-            while order % q == 0 and self.pow(a, order // q).index == 1:
-                order //= q
-        return order
+        exp, log = self._exp_log
+        return len(exp) // math.gcd(log[a.index], len(exp))
 
     @cached_property
     def discrete_log(self) -> dict[int, int]:
-        """Map element index -> exponent of the canonical primitive element."""
-        g = primitive_element(self)
-        table = {}
-        acc = self.one
-        for e in range(1, self.order):
-            acc = self.mul(acc, g)
-            table[acc.index] = e
-        return table
+        """Map element index -> exponent of the canonical primitive element,
+        in 1..q-1 (so the identity maps to q-1)."""
+        exp, _ = self._exp_log
+        n = len(exp)
+        return {exp[e % n]: e for e in range(1, n + 1)}
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.r}, modulus={_poly_str(self.modulus)})"
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def make_field(p: int, r: int, modulus: tuple[int, ...] | None = None) -> PrimePowerField:
@@ -321,12 +318,8 @@ def make_field(p: int, r: int, modulus: tuple[int, ...] | None = None) -> PrimeP
 
 def primitive_element(field: PrimePowerField) -> FieldElement:
     """Element of smallest canonical index generating the multiplicative group."""
-    n = field.order - 1
-    for i in range(1, field.order):
-        g = field.element(i)
-        if field.multiplicative_order(g) == n:
-            return g
-    raise AssertionError("no generator found")  # unreachable for a field
+    exp, _ = field._exp_log
+    return field.element(exp[1 % len(exp)])
 
 
 def power_table(field: PrimePowerField, g: FieldElement) -> list[FieldElement]:
@@ -334,14 +327,10 @@ def power_table(field: PrimePowerField, g: FieldElement) -> list[FieldElement]:
     if g.field is not field:
         raise ValueError("element belongs to a different field")
     n = field.order - 1
-    if field.multiplicative_order(g) != n:
-        raise ValueError(f"{g!r} has order {field.multiplicative_order(g)}, not a generator")
-    out = []
-    acc = field.one
-    for _ in range(n):
-        acc = field.mul(acc, g)
-        out.append(acc)
-    return out
+    order = field.multiplicative_order(g)
+    if order != n:
+        raise ValueError(f"{g!r} has order {order}, not a generator")
+    return [field.pow(g, e) for e in range(1, n + 1)]
 
 
 def quadratic_residues(field: PrimePowerField) -> frozenset[FieldElement]:
@@ -350,10 +339,4 @@ def quadratic_residues(field: PrimePowerField) -> frozenset[FieldElement]:
         raise ValueError("quadratic residues are not meaningful in characteristic 2 "
                          "(every element is a square)")
     g = primitive_element(field)
-    g2 = field.mul(g, g)
-    out = set()
-    acc = field.one
-    for _ in range((field.order - 1) // 2):
-        acc = field.mul(acc, g2)
-        out.add(acc)
-    return frozenset(out)
+    return frozenset(field.pow(g, e) for e in range(2, field.order, 2))

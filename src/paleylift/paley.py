@@ -17,21 +17,19 @@ class PaleyGraph:
 
 def build_paley(field: PrimePowerField) -> PaleyGraph:
     """Vertices are the field elements in canonical index order; g and h are
-    adjacent iff h - g is a nonzero square."""
+    adjacent iff h - g is a nonzero square.  Built as the Cayley graph: the
+    edge {x, x + s} for every x and every square s."""
     m = field.order
     if m % 8 != 1:
         raise ValueError(
             f"Paley construction requires p^r = 1 (mod 8); got {m} = {m % 8} (mod 8)"
         )
     residues = quadratic_residues(field)
-    residue_indices = {e.index for e in residues}
-    edges = []
-    for i in range(m):
-        gi = field.element(i)
-        for j in range(i + 1, m):
-            diff = field.sub(field.element(j), gi)
-            if diff.index in residue_indices:
-                edges.append((i, j))
+    squares = sorted(e.index for e in residues)
+    add = field.add_index
+    # the squares are closed under negation, so each edge is met from both
+    # ends; keep it at its smaller end
+    edges = [(x, y) for x in range(m) for s in squares if (y := add(x, s)) > x]
     graph = Graph(m, edges)
     expected_degree = (m - 1) // 2
     if any(graph.degree(v) != expected_degree for v in range(m)):
@@ -40,12 +38,12 @@ def build_paley(field: PrimePowerField) -> PaleyGraph:
 
 
 def smallest_nonresidue(field: PrimePowerField) -> FieldElement:
-    """Nonzero non-square of smallest canonical index."""
-    residue_indices = {e.index for e in quadratic_residues(field)}
-    for i in range(1, field.order):
-        if i not in residue_indices:
-            return field.element(i)
-    raise AssertionError("every nonzero element is a square; nonresidue requires odd p")
+    """Nonzero non-square of smallest canonical index: in odd characteristic,
+    the first index with an odd discrete logarithm."""
+    if field.p == 2:
+        raise ValueError("every element of a field of characteristic 2 is a square")
+    dlog = field.discrete_log
+    return field.element(next(i for i in range(1, field.order) if dlog[i] % 2))
 
 
 def verify_self_complementary_via_multiplier(paley: PaleyGraph) -> IsomorphismCertificate:
@@ -53,8 +51,8 @@ def verify_self_complementary_via_multiplier(paley: PaleyGraph) -> IsomorphismCe
     non-square s, which exchanges squares and non-squares and therefore maps
     edges onto complement edges."""
     field = paley.field
-    s = smallest_nonresidue(field)
-    mapping = tuple(field.mul(s, field.element(i)).index for i in range(field.order))
+    s = smallest_nonresidue(field).index
+    mapping = tuple(field.mul_index(s, i) for i in range(field.order))
     comp = complement(paley.graph)
     if not verify_isomorphism(paley.graph, comp, mapping):
         raise AssertionError(

@@ -255,6 +255,11 @@ def _flip_first_bit(text):
     ("graph.json", '{"vertex_count":4,"edges":[[0,1],[2,3]]}', "embed-search", 2),
     ("bundle/hz.txt", _flip_first_bit, "distance", 2),
     ("bundle/hz.txt", _flip_first_bit, "verify", 1),
+    # --out is an existing file, or (for embed-search) a path under one
+    ("out", "", "paley", 2),
+    ("out", "", "lift", 2),
+    ("out", "", "code", 2),
+    ("out", "", "embed-search", 2),
 ])
 def test_malformed_input_exits_without_traceback(lift3_workdir, tmp_path,
                                                  target, content, command, expected):
@@ -268,6 +273,8 @@ def test_malformed_input_exits_without_traceback(lift3_workdir, tmp_path,
         "verify": ("verify", work / "bundle"),
         "distance": ("distance", work / "bundle", "--max-weight", 1),
         "embed-search": ("embed-search", work / "graph.json", "--genus", 0,
-                         "--out", work / "found.json"),
+                         "--out", work / "out" / "found.json"),
+        "paley": ("paley", 3, 2, "--out", work / "out"),
+        "lift": ("lift", 3, "--out", work / "out"),
     }[command]
     assert run(*argv) == expected

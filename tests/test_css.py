@@ -23,6 +23,16 @@ def triangle():
     return Graph(3, [(0, 1), (1, 2), (0, 2)])
 
 
+def assert_valid(code):
+    """The code invariants that `verify` checks on a bundle."""
+    assert code.hx.cols == code.n and code.hz.cols == code.n
+    assert gf2.multiply(code.hx, code.hz.transpose()).is_zero()
+    k = code.n - gf2.rank(code.hx) - gf2.rank(code.hz)
+    assert code.k == k and k >= 0
+    if code.d_found is not None:
+        assert code.d_lower <= code.d_found
+
+
 # -- embedding mode ------------------------------------------------------------
 
 def test_embedding_code_paley9(paley9, paley9_rotation):
@@ -30,7 +40,7 @@ def test_embedding_code_paley9(paley9, paley9_rotation):
                                 family="paley", kprime=0)
     assert (code.n, code.k) == (18, 2)
     assert code.genus == 1
-    code.validate()
+    assert_valid(code)
 
 
 def test_embedding_code_c4_trivial():
@@ -38,7 +48,7 @@ def test_embedding_code_c4_trivial():
     code = build_code_embedding(g, RotationSystem.from_index_order(g))
     assert (code.n, code.k) == (4, 0)
     assert code.genus == 0
-    code.validate()
+    assert_valid(code)
 
 
 def test_embedding_rejects_wrong_graph(paley9, paley9_rotation):
@@ -107,7 +117,7 @@ def test_apply_distance_report(paley9, paley9_rotation):
     apply_distance_report(code, report)
     assert code.d_found == 3
     assert code.d_lower == 3
-    code.validate()
+    assert_valid(code)
 
 
 def test_shallower_rerun_does_not_erase_knowledge(paley9, paley9_rotation):
@@ -116,7 +126,7 @@ def test_shallower_rerun_does_not_erase_knowledge(paley9, paley9_rotation):
     apply_distance_report(code, distance_search(code, 1))
     assert code.d_found == 3
     assert code.d_lower == 3
-    code.validate()
+    assert_valid(code)
 
 
 def test_witness_verification_rejects_junk(paley9, paley9_rotation):
@@ -188,4 +198,4 @@ def test_bundle_round_trip(paley9, paley9_rotation, tmp_path):
     assert (back.n, back.k, back.d_found, back.d_lower) == (18, 2, 3, 3)
     assert back.family == "paley"
     assert back.genus == 1
-    back.validate()
+    assert_valid(back)

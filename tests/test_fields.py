@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import field_oracle
 from paleylift.fields import (
     FieldConstructionError,
     make_field,
@@ -144,3 +145,27 @@ def test_discrete_log_table(gf9):
     g = primitive_element(gf9)
     for e in range(1, 9):
         assert dlog[gf9.pow(g, e).index] == e
+
+
+@pytest.mark.parametrize("p,r,modulus", [
+    (2, 2, None), (2, 3, None), (2, 4, None),
+    (3, 2, (2, 1, 1)), (3, 2, (1, 0, 1)),
+    (5, 2, None), (3, 3, None), (7, 2, None),
+    (17, 1, (3, 1)),
+])
+def test_table_arithmetic_matches_polynomial_oracle(p, r, modulus):
+    f = make_field(p, r, modulus)
+    q = f.order
+    for a in f.elements():
+        assert (-a).index == field_oracle.neg(f, a.index)
+        for b in f.elements():
+            assert (a + b).index == field_oracle.add(f, a.index, b.index)
+            assert (a * b).index == field_oracle.mul(f, a.index, b.index)
+        power = 1
+        for e in range(2 * q):  # exponents past q - 1 wrap around
+            assert f.pow(a, e).index == power
+            power = field_oracle.mul(f, power, a.index)
+        if a.index:
+            assert f.multiplicative_order(a) == field_oracle.orbit_length(f, a.index)
+    generators = [i for i in range(1, q) if field_oracle.orbit_length(f, i) == q - 1]
+    assert primitive_element(f).index == generators[0]

@@ -1,5 +1,6 @@
 import pytest
 
+import field_oracle
 from paleylift import fields, graphs
 from paleylift.paley import (
     build_paley,
@@ -98,3 +99,12 @@ def test_translation_automorphisms(paley9):
         a = f.element(a_idx)
         mapping = tuple(f.add(f.element(i), a).index for i in range(9))
         assert graphs.verify_isomorphism(paley9.graph, paley9.graph, mapping)
+
+
+@pytest.mark.parametrize("p,r", [(3, 2), (17, 1), (5, 2), (41, 1), (7, 2), (3, 4)])
+def test_cayley_build_matches_all_pairs_definition(p, r):
+    f = fields.make_field(p, r)
+    squares = {field_oracle.mul(f, x, x) for x in range(1, f.order)}
+    expected = [(i, j) for i in range(f.order) for j in range(i + 1, f.order)
+                if field_oracle.add(f, j, field_oracle.neg(f, i)) in squares]
+    assert list(build_paley(f).graph.edges) == expected
