@@ -212,7 +212,7 @@ def verify_witness(code: CssCode, side: str, support: tuple[int, ...]) -> bool:
         v |= 1 << j
     kernel_of, modulo = (code.hx, code.hz) if side == "Z" else (code.hz, code.hx)
     for row in kernel_of.row_bits:
-        if bin(row & v).count("1") % 2:
+        if (row & v).bit_count() % 2:
             return False
     return not RowSpace(modulo).contains(v)
 

@@ -89,11 +89,18 @@ class BinaryMatrix:
         return out
 
     def transpose(self) -> "BinaryMatrix":
-        return BinaryMatrix(self.cols, self.rows,
-                            tuple(self.column_mask(j) for j in range(self.cols)))
+        """Walks the set bits of each row: O(rows + nonzeros) word operations."""
+        columns = [0] * self.cols
+        for i, r in enumerate(self.row_bits):
+            bit = 1 << i
+            while r:
+                low = r & -r
+                columns[low.bit_length() - 1] |= bit
+                r ^= low
+        return BinaryMatrix(self.cols, self.rows, tuple(columns))
 
     def row_weight(self, i: int) -> int:
-        return bin(self.row_bits[i]).count("1")
+        return self.row_bits[i].bit_count()
 
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.row_bits)
@@ -101,14 +108,19 @@ class BinaryMatrix:
     # -- text format -------------------------------------------------------
 
     def to_text(self) -> str:
-        """Serialize: first line "rows cols", then one 0/1 line per row."""
+        """Serialize: first line "rows cols", then one line per row of its
+        bits, column 0 first, separated by single spaces."""
+        # The sentinel bit `top` gives every bin() exactly cols digits after
+        # "0b1", also for cols = 0; reversed, they run column 0 first.
+        top = 1 << self.cols
         lines = [f"{self.rows} {self.cols}"]
-        for i in range(self.rows):
-            lines.append(" ".join(str(b) for b in self.row(i)))
+        lines.extend(" ".join(bin(r | top)[:2:-1]) for r in self.row_bits)
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "BinaryMatrix":
+        """Parse to_text's format.  Blank lines are skipped; every entry must
+        be the token 0 or 1."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty matrix text")
@@ -116,15 +128,20 @@ class BinaryMatrix:
         if len(header) != 2:
             raise ValueError(f"bad header line {lines[0]!r}, expected 'rows cols'")
         rows, cols = int(header[0]), int(header[1])
-        if len(lines) - 1 != rows:
-            raise ValueError(f"expected {rows} data lines, found {len(lines) - 1}")
-        data = []
-        for ln in lines[1:]:
-            vals = [int(tok) for tok in ln.split()]
-            if len(vals) != cols:
-                raise ValueError(f"row width {len(vals)} != {cols}")
-            data.append(vals)
-        return cls.from_rows(data, cols=cols)
+        data = lines[1:]
+        if cols == 0 and not data:
+            # rows of zero columns are written as empty lines, skipped above
+            return cls.zeros(rows, 0)
+        if len(data) != rows:
+            raise ValueError(f"expected {rows} data lines, found {len(data)}")
+        packed = []
+        for i, ln in enumerate(data):
+            tokens = ln.split()
+            bits = "".join(tokens)
+            if len(tokens) != cols or len(bits) != cols or bits.strip("01"):
+                raise ValueError(f"row {i} is not {cols} tokens each 0 or 1: {ln[:60]!r}")
+            packed.append(int(bits[::-1], 2))
+        return cls(rows, cols, tuple(packed))
 
     def __str__(self) -> str:
         return self.to_text()

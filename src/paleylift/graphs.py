@@ -122,8 +122,9 @@ def find_isomorphism(
 
     Returns a verified certificate, or None when the graphs are definitely
     not isomorphic.  Raises SearchBudgetExceeded when the node budget runs
-    out before the search is decided.  Candidates are tried in index order,
-    so the result is deterministic.
+    out before the search is decided.  The candidates for v are the unused
+    vertices of gb of v's degree that agree in adjacency with every mapped
+    u < v; they are tried in index order, so the result is deterministic.
     """
     n = ga.vertex_count
     if n != gb.vertex_count or ga.edge_count != gb.edge_count:
@@ -131,40 +132,53 @@ def find_isomorphism(
     if ga.degree_sequence() != gb.degree_sequence():
         return None
 
+    # Adjacency as bitmasks: below_a[v] holds v's neighbours u < v in ga,
+    # nb_b[w] all of w's neighbours in gb, pool_b[d] gb's vertices of degree d.
+    below_a = [sum(1 << u for u in ga.adjacency[v] if u < v) for v in range(n)]
+    nb_b = [sum(1 << x for x in gb.adjacency[w]) for w in range(n)]
+    pool_b: dict[int, int] = {}
+    for w in range(n):
+        d = gb.degree(w)
+        pool_b[d] = pool_b.get(d, 0) | 1 << w
     deg_a = [ga.degree(v) for v in range(n)]
-    deg_b = [gb.degree(v) for v in range(n)]
     mapping = [-1] * n
-    used = [False] * n
     nodes = 0
 
-    def extend(v: int) -> bool:
+    def charge(count: int) -> None:
         nonlocal nodes
+        nodes += count
+        if nodes > node_budget:
+            raise SearchBudgetExceeded(
+                f"isomorphism search exceeded {node_budget} nodes; undecided"
+            )
+
+    def extend(v: int, used: int) -> bool:
+        """Map v, v+1, ... onto the vertices outside used.  Every unused
+        vertex of matching degree is one node, whether or not it is
+        consistent with the vertices mapped so far."""
         if v == n:
             return True
-        for w in range(n):
-            if used[w] or deg_a[v] != deg_b[w]:
-                continue
-            nodes += 1
-            if nodes > node_budget:
-                raise SearchBudgetExceeded(
-                    f"isomorphism search exceeded {node_budget} nodes; undecided"
-                )
-            ok = True
-            for u in range(v):
-                if (u in ga.adjacency[v]) != (mapping[u] in gb.adjacency[w]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = w
-            used[w] = True
-            if extend(v + 1):
+        pending = pool_b[deg_a[v]] & ~used
+        candidates = pending
+        for u in range(v):
+            if below_a[v] >> u & 1:
+                candidates &= nb_b[mapping[u]]
+            else:
+                candidates &= ~nb_b[mapping[u]]
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            # charge the candidates up to and including this one
+            tried = pending & ((low << 1) - 1)
+            pending ^= tried
+            charge(tried.bit_count())
+            mapping[v] = low.bit_length() - 1
+            if extend(v + 1, used | low):
                 return True
-            used[w] = False
-            mapping[v] = -1
+        charge(pending.bit_count())
         return False
 
-    if not extend(0):
+    if not extend(0, 0):
         return None
     result = tuple(mapping)
     assert verify_isomorphism(ga, gb, result)

@@ -238,6 +238,14 @@ def _flip_first_bit(text):
     return "\n".join([header, ("1" if first[0] == "0" else "0") + first[1:], rest])
 
 
+def _pad_first_one(text):
+    """Matrix text whose first 1 in the first row is written as the token 01."""
+    header, first, rest = text.split("\n", 2)
+    tokens = first.split()
+    tokens[tokens.index("1")] = "01"
+    return "\n".join([header, " ".join(tokens), rest])
+
+
 @pytest.mark.parametrize("target, content, command, expected", [
     ("graph.json", '{"vertex_count":"3","edges":[]}', "code", 2),
     ("graph.json", "[]", "code", 2),
@@ -255,6 +263,8 @@ def _flip_first_bit(text):
     ("graph.json", '{"vertex_count":4,"edges":[[0,1],[2,3]]}', "embed-search", 2),
     ("bundle/hz.txt", _flip_first_bit, "distance", 2),
     ("bundle/hz.txt", _flip_first_bit, "verify", 1),
+    ("bundle/hz.txt", _pad_first_one, "distance", 2),
+    ("bundle/hz.txt", _pad_first_one, "verify", 1),
     # --out is an existing file, or (for embed-search) a path under one
     ("out", "", "paley", 2),
     ("out", "", "lift", 2),

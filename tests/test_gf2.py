@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import gf2_oracle
 from paleylift import graphs
 from paleylift.gf2 import (
     BinaryMatrix,
@@ -169,6 +171,37 @@ def test_text_round_trip():
 def test_text_rejects_bad_header():
     with pytest.raises(ValueError):
         BinaryMatrix.from_text("2\n1 0\n0 1\n")
+
+
+@st.composite
+def matrices(draw):
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 80))
+    return BinaryMatrix.from_bitmasks(
+        draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows)),
+        cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=matrices())
+@example(m=BinaryMatrix.zeros(3, 0))
+@example(m=BinaryMatrix.zeros(0, 5))
+def test_text_and_transpose_match_per_bit_oracles(m):
+    text = m.to_text()
+    assert text == gf2_oracle.to_text(m)
+    assert BinaryMatrix.from_text(text) == m
+    assert m.transpose() == gf2_oracle.transpose(m)
+    assert m.transpose().transpose() == m
+
+
+@pytest.mark.parametrize("row", [
+    "01 0 1", "00 0 1", "+1 0 1", "2 0 1", "-1 0 1", "1_0 0 1",
+    "10 1",         # three characters, but two tokens
+    "1 0",          # short
+    "1 0 1 1",      # long
+])
+def test_text_rejects_non_bit_rows(row):
+    with pytest.raises(ValueError, match="row 0 is not 3 tokens each 0 or 1"):
+        BinaryMatrix.from_text(f"2 3\n{row}\n0 1 1\n")
 
 
 def test_row_space_membership():

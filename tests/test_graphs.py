@@ -1,8 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from paleylift import gf2
+import isomorphism_oracle
+from test_distance import multiplier_cayley_map
+from paleylift import embedding, fields, gf2, paley, voltage
 from paleylift.graphs import (
     Graph,
     SearchBudgetExceeded,
@@ -71,6 +74,65 @@ def test_isomorphism_budget():
     b = Graph(8, [(i, (i + 1) % 8) for i in range(8)])
     with pytest.raises(SearchBudgetExceeded):
         find_isomorphism(a, b, node_budget=2)
+
+
+def assert_matches_oracle(ga, gb):
+    """find_isomorphism gives the oracle's first mapping, and exhausts a
+    budget exactly one node short of the oracle's node count."""
+    want, count = isomorphism_oracle.find_isomorphism(ga, gb)
+    cert = find_isomorphism(ga, gb, node_budget=count)
+    assert (cert.mapping if cert else None) == want
+    if count:
+        with pytest.raises(SearchBudgetExceeded):
+            find_isomorphism(ga, gb, node_budget=count - 1)
+
+
+PALEY_LADDER = {9: (3, 2), 17: (17, 1), 25: (5, 2), 41: (41, 1), 49: (7, 2),
+                73: (73, 1), 81: (3, 4), 89: (89, 1), 97: (97, 1)}
+
+
+@pytest.mark.parametrize("q", sorted(PALEY_LADDER))
+def test_paley_dual_isomorphism_matches_oracle(q):
+    built = paley.build_paley(fields.make_field(*PALEY_LADDER[q]))
+    dual = embedding.dual_graph(multiplier_cayley_map(built))
+    assert dual.is_simple
+    assert_matches_oracle(dual.graph, built.graph)
+
+
+@pytest.mark.parametrize("t", [3, 4, 5])
+def test_lift_dual_and_complement_isomorphisms_match_oracle(t):
+    rotation = voltage.derived_embedding(voltage.build_voltage_graph(t))
+    dual = embedding.dual_graph(rotation)
+    assert dual.is_simple
+    assert_matches_oracle(dual.graph, rotation.graph)
+    assert_matches_oracle(rotation.graph, complement(rotation.graph))
+
+
+@st.composite
+def graph_pairs(draw):
+    """A random graph on at most 8 vertices and a relabelled copy, after at
+    most two degree-preserving edge swaps: isomorphic or not, the degree
+    sequences agree, so the search runs."""
+    n = draw(st.integers(0, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    perm = draw(st.permutations(range(n)))
+    image = {tuple(sorted((perm[u], perm[v]))) for u, v in edges}
+    for _ in range(draw(st.integers(0, 2))):
+        if len(image) < 2:
+            break
+        (a, b), (c, d) = draw(st.lists(st.sampled_from(sorted(image)), min_size=2,
+                                       max_size=2, unique=True))
+        swapped = {tuple(sorted((a, d))), tuple(sorted((c, b)))}
+        if len({a, b, c, d}) == 4 and not swapped & image:
+            image = (image - {(a, b), (c, d)}) | swapped
+    return Graph(n, edges), Graph(n, image)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=graph_pairs())
+def test_random_isomorphisms_match_oracle(pair):
+    assert_matches_oracle(*pair)
 
 
 def test_p4_self_complementary_with_brute_force_oracle():
