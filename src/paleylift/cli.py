@@ -44,10 +44,22 @@ def _write_manifest(out_dir: Path, argv: list[str], inputs: list[Path],
     )
 
 
+def _ones(bits: int) -> list[int]:
+    """1-based positions of the set bits, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length())
+        bits ^= low
+    return out
+
+
 def _matrix_to_alist(m: BinaryMatrix) -> str:
-    """MacKay alist export (unpadded): columns first, 1-based indices."""
-    cols = [[i + 1 for i in range(m.rows) if m.entry(i, j)] for j in range(m.cols)]
-    rows = [[j + 1 for j in range(m.cols) if m.entry(i, j)] for i in range(m.rows)]
+    """MacKay alist export (unpadded): columns first, 1-based indices.
+    O(rows + cols + nonzeros) word operations, the columns read off the
+    transpose."""
+    cols = [_ones(c) for c in m.transpose().row_bits]
+    rows = [_ones(r) for r in m.row_bits]
     lines = [
         f"{m.cols} {m.rows}",
         f"{max((len(c) for c in cols), default=0)} {max((len(r) for r in rows), default=0)}",

@@ -154,12 +154,13 @@ def _systole_side(
                         tree.add(j)
                         reached.append(y)
             frontier = reached
-        # the vertices at depth w_max / 2, whose edges among themselves are too long
+        # For even w_max, the rim (depth w_max / 2, reached last) is not
+        # scanned: its edges among themselves are too long, and each of its
+        # edges to an inner vertex is met from the inner end.
         rim = set() if w_max % 2 else set(frontier)
-        for x, to_x in path.items():
+        for x, to_x in list(path.items())[:len(path) - len(rim)]:
             for y, j in adjacency[x]:
-                if (x < y and j not in tree and y in path
-                        and not (x in rim and y in rim)):
+                if (x < y or y in rim) and j not in tree and y in path:
                     offer(to_x ^ path[y] ^ (1 << j))
     return tuple(j for j in range(kernel_of.cols) if best >> j & 1) if best else None
 

@@ -6,8 +6,12 @@ matrices are immutable after construction.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+# A header count as to_text writes it: no sign, no "_", no leading zero.
+_DECIMAL = re.compile("0|[1-9][0-9]*")
 
 
 class DimensionMismatch(ValueError):
@@ -89,7 +93,15 @@ class BinaryMatrix:
         return out
 
     def transpose(self) -> "BinaryMatrix":
-        """Walks the set bits of each row: O(rows + nonzeros) word operations."""
+        """At density 1/10 and above, one zip of the rows' bit strings:
+        O(rows x cols) character steps in C.  Below it, walks the set bits of
+        each row: O(rows + nonzeros) word operations."""
+        ones = sum(r.bit_count() for r in self.row_bits)
+        if self.rows and 10 * ones >= self.rows * self.cols:
+            top = 1 << self.cols   # the sentinel of to_text: digits run column 0 first
+            digits = [bin(r | top)[:2:-1] for r in self.row_bits]
+            return BinaryMatrix(self.cols, self.rows, tuple(
+                int("".join(column)[::-1], 2) for column in zip(*digits)))
         columns = [0] * self.cols
         for i, r in enumerate(self.row_bits):
             bit = 1 << i
@@ -119,13 +131,13 @@ class BinaryMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "BinaryMatrix":
-        """Parse to_text's format.  Blank lines are skipped; every entry must
-        be the token 0 or 1."""
+        """Parse to_text's format.  Blank lines are skipped; the header counts
+        must be plain decimals and every entry the token 0 or 1."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise ValueError("empty matrix text")
         header = lines[0].split()
-        if len(header) != 2:
+        if len(header) != 2 or not all(_DECIMAL.fullmatch(tok) for tok in header):
             raise ValueError(f"bad header line {lines[0]!r}, expected 'rows cols'")
         rows, cols = int(header[0]), int(header[1])
         data = lines[1:]

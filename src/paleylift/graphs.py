@@ -1,4 +1,5 @@
-"""Simple undirected graphs with canonical vertex and edge orderings.
+"""Simple undirected graphs stored as one neighbour bitmask per vertex,
+with canonical vertex and edge orderings.
 
 The sorted edge list is the single source of truth for matrix column
 indices everywhere in the package.
@@ -7,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -20,63 +22,92 @@ class SearchBudgetExceeded(RuntimeError):
 
 
 class Graph:
-    """Simple undirected graph; edges are stored sorted as (u, v) with u < v."""
+    """Simple undirected graph: bit v of neighbours[u] is set iff uv is an
+    edge.  The edges, sorted as (u, v) with u < v, are read off the masks."""
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
         if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
-        self.vertex_count = vertex_count
-        normalized = set()
+        masks = [0] * vertex_count
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"edge ({u},{v}) outside vertex range 0..{vertex_count - 1}")
-            key = (u, v) if u < v else (v, u)
-            if key in normalized:
-                raise ValueError(f"duplicate edge {key}")
-            normalized.add(key)
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(normalized))
-        self.edge_index = {e: i for i, e in enumerate(self.edges)}
-        adj: list[set[int]] = [set() for _ in range(vertex_count)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self.adjacency: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
+            bit = 1 << v
+            if masks[u] & bit:   # the edge is in both masks once added
+                raise ValueError(f"duplicate edge {(u, v) if u < v else (v, u)}")
+            masks[u] |= bit
+            masks[v] |= 1 << u
+        self.vertex_count = vertex_count
+        self.neighbours: tuple[int, ...] = tuple(masks)
+
+    @classmethod
+    def from_neighbours(cls, masks: Iterable[int]) -> "Graph":
+        """The graph whose vertex u has neighbour mask masks[u].  The masks
+        must be in range, free of loop bits and symmetric, or ValueError."""
+        masks = tuple(masks)
+        n = len(masks)
+        matrix = BinaryMatrix(n, n, masks)   # rejects negative and out-of-range masks
+        for u, m in enumerate(masks):
+            if m >> u & 1:
+                raise ValueError(f"self-loop at vertex {u}")
+        if matrix.transpose() != matrix:
+            raise ValueError("neighbour masks are not symmetric")
+        graph = cls.__new__(cls)
+        graph.vertex_count = n
+        graph.neighbours = masks
+        return graph
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        n = self.vertex_count
+        out = []
+        for u, m in enumerate(self.neighbours):
+            # the sentinel bit n gives bin() n digits after "0b1"; reversed,
+            # digit v is bit v
+            bits = bin(m | 1 << n)[:2:-1]
+            out.extend([(u, v) for v in range(u + 1, n) if bits[v] == "1"])
+        return tuple(out)
+
+    @cached_property
+    def edge_index(self) -> dict[tuple[int, int], int]:
+        return {e: i for i, e in enumerate(self.edges)}
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(m.bit_count() for m in self.neighbours) // 2
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return self.neighbours[v].bit_count()
 
     def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(len(s) for s in self.adjacency))
+        return tuple(sorted(m.bit_count() for m in self.neighbours))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
+        return bool(self.neighbours[u] >> v & 1)
 
     def is_connected(self) -> bool:
         if self.vertex_count == 0:
             return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            w = stack.pop()
-            for x in self.adjacency[w]:
-                if x not in seen:
-                    seen.add(x)
-                    stack.append(x)
-        return len(seen) == self.vertex_count
+        seen = frontier = 1
+        while frontier:
+            reached = 0
+            while frontier:
+                low = frontier & -frontier
+                reached |= self.neighbours[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reached & ~seen
+            seen |= frontier
+        return seen == (1 << self.vertex_count) - 1
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Graph)
                 and self.vertex_count == other.vertex_count
-                and self.edges == other.edges)
+                and self.neighbours == other.neighbours)
 
     def __hash__(self) -> int:
-        return hash((self.vertex_count, self.edges))
+        return hash((self.vertex_count, self.neighbours))
 
     def __repr__(self) -> str:
         return f"Graph(vertices={self.vertex_count}, edges={self.edge_count})"
@@ -91,26 +122,23 @@ class IsomorphismCertificate:
 
 
 def verify_isomorphism(source: Graph, target: Graph, mapping: tuple[int, ...]) -> bool:
-    """Exhaustive check that mapping sends E(source) exactly onto E(target)."""
+    """Exhaustive check that mapping sends E(source) exactly onto E(target):
+    a permutation that takes every source edge to a target edge, between
+    graphs with equally many edges, is a bijection of the edge sets."""
     if source.vertex_count != target.vertex_count:
         return False
     if sorted(mapping) != list(range(source.vertex_count)):
         return False
-    image = set()
-    for u, v in source.edges:
-        a, b = mapping[u], mapping[v]
-        image.add((a, b) if a < b else (b, a))
-    return image == set(target.edges)
+    if source.edge_count != target.edge_count:
+        return False
+    image = target.neighbours
+    return all(image[mapping[u]] >> mapping[v] & 1 for u, v in source.edges)
 
 
 def complement(graph: Graph) -> Graph:
-    edges = []
-    present = set(graph.edges)
-    for u in range(graph.vertex_count):
-        for v in range(u + 1, graph.vertex_count):
-            if (u, v) not in present:
-                edges.append((u, v))
-    return Graph(graph.vertex_count, edges)
+    full = (1 << graph.vertex_count) - 1
+    return Graph.from_neighbours(full & ~m & ~(1 << u)
+                                 for u, m in enumerate(graph.neighbours))
 
 
 def find_isomorphism(
@@ -134,8 +162,8 @@ def find_isomorphism(
 
     # Adjacency as bitmasks: below_a[v] holds v's neighbours u < v in ga,
     # nb_b[w] all of w's neighbours in gb, pool_b[d] gb's vertices of degree d.
-    below_a = [sum(1 << u for u in ga.adjacency[v] if u < v) for v in range(n)]
-    nb_b = [sum(1 << x for x in gb.adjacency[w]) for w in range(n)]
+    below_a = [m & ((1 << v) - 1) for v, m in enumerate(ga.neighbours)]
+    nb_b = gb.neighbours
     pool_b: dict[int, int] = {}
     for w in range(n):
         d = gb.degree(w)
@@ -212,11 +240,7 @@ def incidence_matrix(graph: Graph) -> BinaryMatrix:
 
 
 def adjacency_matrix(graph: Graph) -> BinaryMatrix:
-    rows = [0] * graph.vertex_count
-    for u, v in graph.edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return BinaryMatrix(graph.vertex_count, graph.vertex_count, tuple(rows))
+    return BinaryMatrix(graph.vertex_count, graph.vertex_count, graph.neighbours)
 
 
 # -- JSON persistence --------------------------------------------------------
@@ -224,12 +248,11 @@ def adjacency_matrix(graph: Graph) -> BinaryMatrix:
 def is_int_pair(value: object) -> bool:
     """True for a JSON list of exactly two integers (booleans excluded)."""
     return (isinstance(value, list) and len(value) == 2
-            and all(type(x) is int for x in value))
+            and type(value[0]) is int and type(value[1]) is int)
 
 
 def graph_to_json(graph: Graph) -> str:
-    payload = {"vertex_count": graph.vertex_count,
-               "edges": [list(e) for e in graph.edges]}
+    payload = {"vertex_count": graph.vertex_count, "edges": graph.edges}
     return json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
 
 
@@ -241,7 +264,7 @@ def graph_from_json(text: str) -> Graph:
     edges = payload.get("edges")
     if not isinstance(edges, list) or not all(is_int_pair(e) for e in edges):
         raise ValueError("edges must be a list of [u, v] integer pairs")
-    return Graph(payload["vertex_count"], [tuple(e) for e in edges])
+    return Graph(payload["vertex_count"], edges)
 
 
 def write_graph(graph: Graph, path: str | Path) -> None:

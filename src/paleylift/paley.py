@@ -18,19 +18,29 @@ class PaleyGraph:
 def build_paley(field: PrimePowerField) -> PaleyGraph:
     """Vertices are the field elements in canonical index order; g and h are
     adjacent iff h - g is a nonzero square.  Built as the Cayley graph: the
-    edge {x, x + s} for every x and every square s."""
+    neighbour mask of x is the mask of the squares translated by x."""
     m = field.order
     if m % 8 != 1:
         raise ValueError(
             f"Paley construction requires p^r = 1 (mod 8); got {m} = {m % 8} (mod 8)"
         )
     residues = quadratic_residues(field)
-    squares = sorted(e.index for e in residues)
-    add = field.add_index
-    # the squares are closed under negation, so each edge is met from both
-    # ends; keep it at its smaller end
-    edges = [(x, y) for x in range(m) for s in squares if (y := add(x, s)) > x]
-    graph = Graph(m, edges)
+    squares = {e.index for e in residues}
+    if {field.neg_index(s) for s in squares} != squares:
+        raise AssertionError("the squares are not closed under negation; arithmetic bug")
+    # The index of x is a*p^k + y with a nonzero and y < p^k, so the mask of
+    # x is the mask of x - p^k with 1 added to digit k: the indices whose
+    # digit k is below p - 1 (the mask `up`) move up by p^k, and the others
+    # wrap down by (p - 1) p^k.
+    p = field.p
+    masks = [sum(1 << s for s in squares)]
+    for k in range(field.r):
+        place = p**k
+        up = sum(1 << i for i in range(m) if i // place % p < p - 1)
+        for x in range(place, place * p):
+            prev = masks[x - place]
+            masks.append((prev & up) << place | (prev & ~up) >> (p - 1) * place)
+    graph = Graph.from_neighbours(masks)
     expected_degree = (m - 1) // 2
     if any(graph.degree(v) != expected_degree for v in range(m)):
         raise AssertionError("Paley graph is not (m-1)/2-regular; arithmetic bug")

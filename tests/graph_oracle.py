@@ -1,0 +1,69 @@
+"""Test-only set-based graphs: the edge set, adjacency, connectivity,
+complement and isomorphism check of a graph given as (vertex_count, edges),
+computed from sorted edge tuples and Python sets.  They are slow but
+independent of the neighbour bitmasks of `graphs.Graph`, and raise
+ValueError on the inputs it must reject."""
+from __future__ import annotations
+
+from typing import Iterable
+
+Edges = tuple[tuple[int, int], ...]
+
+
+def normalize(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Edges:
+    """The edges as sorted (u, v) with u < v; ValueError for a negative
+    vertex count, a loop, an end out of range or a duplicate edge."""
+    if vertex_count < 0:
+        raise ValueError("vertex_count must be non-negative")
+    normalized = set()
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+            raise ValueError(f"edge ({u},{v}) outside vertex range 0..{vertex_count - 1}")
+        key = (u, v) if u < v else (v, u)
+        if key in normalized:
+            raise ValueError(f"duplicate edge {key}")
+        normalized.add(key)
+    return tuple(sorted(normalized))
+
+
+def adjacency(vertex_count: int, edges: Edges) -> list[set[int]]:
+    adj: list[set[int]] = [set() for _ in range(vertex_count)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def is_connected(vertex_count: int, edges: Edges) -> bool:
+    if vertex_count == 0:
+        return True
+    adj = adjacency(vertex_count, edges)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for x in adj[stack.pop()]:
+            if x not in seen:
+                seen.add(x)
+                stack.append(x)
+    return len(seen) == vertex_count
+
+
+def complement(vertex_count: int, edges: Edges) -> Edges:
+    present = set(edges)
+    return tuple((u, v) for u in range(vertex_count) for v in range(u + 1, vertex_count)
+                 if (u, v) not in present)
+
+
+def verify_isomorphism(vertex_count: int, source: Edges, target: Edges,
+                       mapping: tuple[int, ...]) -> bool:
+    """True iff mapping is a permutation sending the source edges exactly
+    onto the target edges."""
+    if sorted(mapping) != list(range(vertex_count)):
+        return False
+    image = set()
+    for u, v in source:
+        a, b = mapping[u], mapping[v]
+        image.add((a, b) if a < b else (b, a))
+    return image == set(target)

@@ -35,7 +35,7 @@ def find_isomorphism(ga: Graph, gb: Graph) -> tuple[Optional[tuple[int, ...]], i
             nodes += 1
             ok = True
             for u in range(v):
-                if (u in ga.adjacency[v]) != (mapping[u] in gb.adjacency[w]):
+                if ga.has_edge(u, v) != gb.has_edge(mapping[u], w):
                     ok = False
                     break
             if not ok:

@@ -1,11 +1,16 @@
+import hashlib
 import json
 import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
 
+import gf2_oracle
+from test_gf2 import matrices
 from paleylift import graphs
-from paleylift.cli import main
+from paleylift.cli import _matrix_to_alist, main
+from paleylift.gf2 import BinaryMatrix
 
 DATA = Path(__file__).parent / "data"
 
@@ -55,7 +60,6 @@ def test_manifest_digests(tmp_path):
     out = tmp_path / "paley9"
     assert run("paley", 3, 2, "--out", out) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    import hashlib
     for path, digest in manifest["outputs"].items():
         actual = "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
         assert actual == digest
@@ -71,6 +75,26 @@ def test_builder_outputs_byte_identical(tmp_path):
             assert run(*argv, "--out", out) == 0
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+GOLDEN_BUILDS = {
+    "paley257": ("paley", 257, 1), "paley289": ("paley", 17, 2),
+    "paley521": ("paley", 521, 1), "paley529": ("paley", 23, 2),
+    "lift5": ("lift", 5), "lift6": ("lift", 6),
+}
+
+
+def test_builder_outputs_match_golden_digests(tmp_path):
+    """data/graph_digests.txt holds the sha256 of the builders' artifacts
+    (default moduli) as the set-based graph layer wrote them; the bitmask
+    graphs must reproduce them byte for byte."""
+    for name, argv in GOLDEN_BUILDS.items():
+        assert run(*argv, "--out", tmp_path / name) == 0
+    lines = (DATA / "graph_digests.txt").read_text().splitlines()
+    assert {line.split()[1].split("/")[0] for line in lines} == set(GOLDEN_BUILDS)
+    for line in lines:
+        digest, rel = line.split()
+        assert hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest() == digest, rel
 
 
 def test_code_bundles_byte_identical(tmp_path):
@@ -215,6 +239,14 @@ def test_alist_export(tmp_path):
     assert lines[3].split() == ["4"] * 9
 
 
+@settings(max_examples=300, deadline=None)
+@given(m=matrices())
+@example(m=BinaryMatrix.zeros(3, 0))
+@example(m=BinaryMatrix.zeros(0, 5))
+def test_alist_matches_per_entry_oracle(m):
+    assert _matrix_to_alist(m) == gf2_oracle.to_alist(m)
+
+
 def test_usage_error_exit_code_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["table", "--family", "nonsense", "--kprime-max", "2"])
@@ -246,6 +278,11 @@ def _pad_first_one(text):
     return "\n".join([header, " ".join(tokens), rest])
 
 
+def _sign_header(text):
+    """Matrix text whose header row count is written with a + sign."""
+    return "+" + text
+
+
 @pytest.mark.parametrize("target, content, command, expected", [
     ("graph.json", '{"vertex_count":"3","edges":[]}', "code", 2),
     ("graph.json", "[]", "code", 2),
@@ -265,6 +302,8 @@ def _pad_first_one(text):
     ("bundle/hz.txt", _flip_first_bit, "verify", 1),
     ("bundle/hz.txt", _pad_first_one, "distance", 2),
     ("bundle/hz.txt", _pad_first_one, "verify", 1),
+    ("bundle/hz.txt", _sign_header, "distance", 2),
+    ("bundle/hz.txt", _sign_header, "verify", 1),
     # --out is an existing file, or (for embed-search) a path under one
     ("out", "", "paley", 2),
     ("out", "", "lift", 2),

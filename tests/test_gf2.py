@@ -185,6 +185,8 @@ def matrices(draw):
 @given(m=matrices())
 @example(m=BinaryMatrix.zeros(3, 0))
 @example(m=BinaryMatrix.zeros(0, 5))
+@example(m=BinaryMatrix.identity(40))   # density 1/40: the set-bit walk
+@example(m=BinaryMatrix.from_bitmasks([(1 << 80) - 1] * 8, 80))   # the zip of strings
 def test_text_and_transpose_match_per_bit_oracles(m):
     text = m.to_text()
     assert text == gf2_oracle.to_text(m)
@@ -198,10 +200,18 @@ def test_text_and_transpose_match_per_bit_oracles(m):
     "10 1",         # three characters, but two tokens
     "1 0",          # short
     "1 0 1 1",      # long
+    "+1 0_3", "01 3", "1 -3", "1_0 3",   # also rejected as headers, below
 ])
 def test_text_rejects_non_bit_rows(row):
     with pytest.raises(ValueError, match="row 0 is not 3 tokens each 0 or 1"):
         BinaryMatrix.from_text(f"2 3\n{row}\n0 1 1\n")
+
+
+@pytest.mark.parametrize("header", ["+1 0_3", "01 3", "1 -3", "1_0 3", "1 +3", "1 03"])
+def test_text_rejects_non_decimal_header(header):
+    # int() would read each of these as 1 x 3, which the row below fits
+    with pytest.raises(ValueError, match="bad header line"):
+        BinaryMatrix.from_text(f"{header}\n1 0 1\n")
 
 
 def test_row_space_membership():

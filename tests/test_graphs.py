@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import graph_oracle
 import isomorphism_oracle
 from test_distance import multiplier_cayley_map
 from paleylift import embedding, fields, gf2, paley, voltage
@@ -35,6 +36,81 @@ def test_graph_validation():
         Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError, match="outside"):
         Graph(2, [(0, 2)])
+
+
+@pytest.mark.parametrize("masks, match", [
+    ((0b10, 0b00), "not symmetric"),      # 0 -> 1 without 1 -> 0
+    ((0b01, 0b00), "self-loop"),          # bit 0 of vertex 0
+    ((0b110, 0b001), "outside"),          # bit 2 of a 2-vertex graph
+    ((-2, 0b01), "outside"),
+])
+def test_from_neighbours_rejects_bad_masks(masks, match):
+    with pytest.raises(ValueError, match=match):
+        Graph.from_neighbours(masks)
+
+
+@st.composite
+def edge_lists(draw):
+    """(vertex_count, edges) on at most 12 vertices: a simple graph with each
+    edge in a random orientation and order, and with probability 1/2 one
+    fault: a loop, an end out of range, or a repeat of an edge in either
+    orientation."""
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    fault = draw(st.sampled_from([None, "loop", "range", "duplicate", "reversed"]))
+    if fault == "loop":
+        w = draw(st.integers(0, max(n - 1, 0)))
+        bad = (w, w)
+    elif fault == "range":
+        end = draw(st.sampled_from([-1, n, n + 1]))
+        bad = (end, draw(st.integers(0, max(n - 1, 0))))
+        if draw(st.booleans()):
+            bad = bad[::-1]
+    elif fault and edges:
+        u, v = draw(st.sampled_from(edges))
+        bad = (u, v) if fault == "duplicate" else (v, u)
+    else:
+        return n, edges
+    edges.insert(draw(st.integers(0, len(edges))), bad)
+    return n, edges
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=edge_lists(), data=st.data())
+def test_graph_matches_set_oracle(case, data):
+    n, edge_list = case
+    try:
+        want = graph_oracle.normalize(n, edge_list)
+    except ValueError:
+        with pytest.raises(ValueError):
+            Graph(n, edge_list)
+        return
+    g = Graph(n, edge_list)
+    assert g.edges == want and g.edge_count == len(want)
+    assert g.edge_index == {e: i for i, e in enumerate(want)}
+    adj = graph_oracle.adjacency(n, want)
+    assert [g.degree(v) for v in range(n)] == [len(a) for a in adj]
+    assert g.degree_sequence() == tuple(sorted(len(a) for a in adj))
+    assert all(g.has_edge(u, v) == (v in adj[u]) for u in range(n) for v in range(n))
+    assert g.is_connected() == graph_oracle.is_connected(n, want)
+    assert Graph.from_neighbours(g.neighbours) == g
+    comp = complement(g)
+    assert comp.edges == graph_oracle.complement(n, want)
+
+    # a target isomorphic to g, or g's complement, and a mapping that is the
+    # relabelling, another permutation, or not a permutation at all
+    perm = tuple(data.draw(st.permutations(range(n))))
+    target = data.draw(st.sampled_from([
+        Graph(n, [(perm[u], perm[v]) for u, v in want]), comp]))
+    mapping = data.draw(st.one_of(
+        st.just(perm),
+        st.permutations(range(n)).map(tuple),
+        st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n).map(tuple),
+        st.lists(st.integers(0, n), max_size=n + 1).map(tuple)))
+    assert verify_isomorphism(g, target, mapping) == graph_oracle.verify_isomorphism(
+        n, want, target.edges, mapping)
 
 
 def test_edges_sorted_canonically():
