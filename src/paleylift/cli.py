@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -301,16 +302,24 @@ def cmd_verify(args: argparse.Namespace, argv: list[str]) -> int:
         check("k = 2 * genus", code.k == 2 * code.genus)
     if code.d_found is not None:
         check("d_lower <= d_found", code.d_lower <= code.d_found)
+    weights = []
     for side in ("dz", "dx"):
         wpath = bundle / f"{side}_witness.json"
         if wpath.exists():
             try:
                 wside, weight, support = _read_witness(wpath)
+                weights.append(len(support))
                 ok = (len(support) == weight
                       and css.verify_witness(code, wside, support))
             except (OSError, ValueError):
                 ok = False
             check(f"{side} witness re-verifies", ok)
+    # a witness is a logical of its weight, so it bounds d from above
+    if code.d_found is not None:
+        check("d_found = lightest witness weight",
+              code.d_found == min(weights, default=None))
+    if weights:
+        check("d_lower <= every witness weight", code.d_lower <= min(weights))
     if failures:
         print(f"verification failed: {', '.join(failures)}", file=sys.stderr)
         return EXIT_VERIFICATION
@@ -318,7 +327,11 @@ def cmd_verify(args: argparse.Namespace, argv: list[str]) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.  It names each
+    command by its `command` attribute alone and holds no functions, so
+    `main` finds `cmd_<command>` in this module at call time."""
     parser = argparse.ArgumentParser(
         prog="paleylift",
         description="Build and check CSS codes from voltage-graph lifts and "
@@ -333,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", dest="fmt", default="text",
                    choices=["text", "alist"],
                    help="alist additionally exports MacKay alist matrices")
-    p.set_defaults(func=cmd_lift)
 
     p = sub.add_parser("paley", help="build a Paley graph over GF(p^r)")
     p.add_argument("p", type=int, help="prime")
@@ -343,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--format", dest="fmt", default="text",
                    choices=["text", "alist"])
-    p.set_defaults(func=cmd_paley)
 
     p = sub.add_parser("code", help="assemble a CSS code bundle from a graph")
     p.add_argument("graph", help="graph JSON file")
@@ -355,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--format", dest="fmt", default="text",
                    choices=["text", "alist"])
-    p.set_defaults(func=cmd_code)
 
     p = sub.add_parser("distance",
                        help="exact minimum distance of a surface-code bundle up to "
@@ -365,13 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=css.DEFAULT_ENUMERATION_BUDGET,
                    help="bound on the engine's work estimate, the sum over "
                         "H_X and H_Z of rows x cols")
-    p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("table", help="closed-form family parameter table")
     p.add_argument("--family", required=True, choices=["voltage", "paley"])
     p.add_argument("--kprime-max", type=int, required=True, dest="kprime_max")
     p.add_argument("--csv", action="store_true")
-    p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("embed-search",
                        help="search for a self-dual embedding of a target genus")
@@ -382,21 +390,19 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="vertex_transitive",
                    help="freeze the first vertex's rotation (symmetry heuristic)")
     p.add_argument("--out", required=True, help="rotation JSON output path")
-    p.set_defaults(func=cmd_embed_search)
 
     p = sub.add_parser("verify", help="re-run every invariant on a code bundle")
     p.add_argument("bundle")
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args, argv)
+        return command(args, argv)
     except OSError as exc:  # inputs are read under their own handlers
         return _usage_error(f"cannot write output: {exc}")
 

@@ -113,13 +113,17 @@ def _systole_side(
     C, is the sum of the fundamental cycles of its non-tree edges in a BFS
     tree rooted on C, so one of those is outside the subspace too, and each
     is no longer than C because its edge xy has depth(x) + depth(y) + 1 <=
-    len(C).  The candidates are therefore the loops and, from every root,
-    path(x) ^ path(y) ^ e for every non-tree edge e = xy of the BFS ball of
-    radius w_max // 2 with depth(x) + depth(y) + 1 <= w_max.
+    len(C).  The argument holds in any subgraph that contains C, so each
+    cycle is sought from its lowest row only: the BFS from root enters rows
+    above root alone.  The candidates are therefore the loops and, from
+    every root, path(x) ^ path(y) ^ e for every non-tree edge e = xy of the
+    BFS ball of radius w_max // 2 in the rows >= root with depth(x) +
+    depth(y) + 1 <= w_max.  Row-space membership is still tested in the
+    whole of rowspace(modulo).
 
     At weight <= 3 the result is also the smallest (weight, sorted support)
     of all such vectors: a smaller one would swap in the lowest of a set of
-    parallel edges, and BFS takes that one into the tree.
+    parallel edges, and BFS from its lowest row takes that one into the tree.
     """
     adjacency, loops = _cycle_graph(kernel_of, name)
     quotient = RowSpace(modulo)
@@ -149,7 +153,7 @@ def _systole_side(
             reached = []
             for x in frontier:
                 for y, j in adjacency[x]:
-                    if y not in path:
+                    if y > root and y not in path:
                         path[y] = path[x] | (1 << j)
                         tree.add(j)
                         reached.append(y)

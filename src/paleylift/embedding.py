@@ -221,7 +221,10 @@ def search_self_dual_embedding(
     returned.  Pruning: a partial assignment dies when a closed face has a
     length unavailable in the degree multiset of the graph (the dual must
     reproduce that multiset), when the face count overshoots, or when an
-    open face segment is already longer than the largest degree.
+    open face segment is already longer than the largest degree.  Each open
+    segment is walked whole, from its dart at an unassigned vertex, so the
+    last prune sees its full length.  The prunes only cut branches with no
+    witness, so they change the node count and not the result.
 
     Returns None when the space is exhausted (definitive absence).  Raises
     SearchBudgetExceeded when the node budget runs out first - that outcome
@@ -231,6 +234,8 @@ def search_self_dual_embedding(
     """
     if not graph.is_connected():
         raise ValueError("embedding search requires a connected graph")
+    if not graph.edge_count:
+        raise ValueError("embedding search requires at least one edge")
     m = graph.vertex_count
     n_e = graph.edge_count
     faces_needed = 2 - 2 * target_genus - m + n_e
@@ -256,15 +261,18 @@ def search_self_dual_embedding(
         visited = [False] * num_darts
         closed = 0
         allowed = dict(deg_multiset)
-        for d0 in range(num_darts):
+        # A face step ends at a dart whose tail is assigned, so the darts at
+        # unassigned vertices start the open segments: walking from them
+        # first measures each segment whole.  The darts left over lie on
+        # closed faces.
+        starts = [d for d in range(num_darts) if succ[d] < 0]
+        for d0 in itertools.chain(starts, range(num_darts)):
             if visited[d0]:
                 continue
             length = 0
             d = d0
             is_closed = False
             while True:
-                if visited[d]:
-                    break  # merged into an earlier open segment
                 visited[d] = True
                 length += 1
                 if length > max_face_len:

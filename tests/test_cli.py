@@ -297,7 +297,13 @@ def _sign_header(text):
      '"family":"custom","kprime":null,"genus":15}', "verify", 1),
     ("bundle/code.json", '{"n":"x","k":30,"d_found":3,"d_lower":3,'
      '"family":"custom","kprime":null,"genus":15}', "distance", 2),
+    # the bundle's witnesses have weight 3
+    ("bundle/code.json", '{"n":60,"k":30,"d_found":2,"d_lower":2,'
+     '"family":"voltage","kprime":1,"genus":15}', "verify", 1),
+    ("bundle/code.json", '{"n":60,"k":30,"d_found":null,"d_lower":7,'
+     '"family":"voltage","kprime":1,"genus":15}', "verify", 1),
     ("graph.json", '{"vertex_count":4,"edges":[[0,1],[2,3]]}', "embed-search", 2),
+    ("graph.json", '{"vertex_count":1,"edges":[]}', "embed-search", 2),
     ("bundle/hz.txt", _flip_first_bit, "distance", 2),
     ("bundle/hz.txt", _flip_first_bit, "verify", 1),
     ("bundle/hz.txt", _pad_first_one, "distance", 2),

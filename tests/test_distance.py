@@ -1,11 +1,11 @@
-"""The systole engine in `css.distance_search` against the brute-force
-oracle in distance_oracle.py."""
+"""The systole engine in `css.distance_search` against the brute-force and
+all-roots oracles in distance_oracle.py."""
 import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from distance_oracle import brute_force_distance
+from distance_oracle import all_roots_distance, brute_force_distance
 from paleylift import fields, paley, voltage
 from paleylift.css import (
     build_code_embedding,
@@ -52,6 +52,25 @@ def _lift_code(t):
     return build_code_embedding(rotation.graph, rotation, family="voltage")
 
 
+def _toric_code(size):
+    """The size x size toric code: the square grid on the torus, each
+    vertex's neighbours in the order right, up, left, down."""
+    def vertex(i, j):
+        return (i % size) * size + j % size
+    g = Graph(size * size, [(min(vertex(i, j), w), max(vertex(i, j), w))
+                            for i in range(size) for j in range(size)
+                            for w in (vertex(i, j + 1), vertex(i + 1, j))])
+    rotations = []
+    for i in range(size):
+        for j in range(size):
+            v = vertex(i, j)
+            rotations.append(tuple(
+                2 * g.edge_index[(min(v, w), max(v, w))] + (v > w)
+                for w in (vertex(i, j + 1), vertex(i + 1, j),
+                          vertex(i, j - 1), vertex(i - 1, j))))
+    return build_code_embedding(g, RotationSystem(g, tuple(rotations)))
+
+
 def _triangle_code():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
     return build_code_embedding(g, RotationSystem.from_index_order(g))
@@ -85,6 +104,39 @@ def test_engine_matches_brute_force(codes, name, w):
     for side, witness in (("Z", engine.dz_witness), ("X", engine.dx_witness)):
         if witness is not None:
             assert verify_witness(code, side, witness)
+
+
+def test_engine_finds_weight_four_logicals_of_the_toric_code():
+    # d = 4 with even w_max: the weight-4 cycles need the edges from the BFS
+    # ball's inner rows to its rim, whichever end has the smaller index
+    code = _toric_code(4)
+    assert (code.n, code.k) == (32, 2)
+    engine = distance_search(code, 4)
+    oracle = brute_force_distance(code, 4)
+    assert (engine.d_found, engine.d_lower) == (oracle.d_found, oracle.d_lower) == (4, 4)
+    for side, got, want in (("Z", engine.dz_witness, oracle.dz_witness),
+                            ("X", engine.dx_witness, oracle.dx_witness)):
+        assert got is not None and len(got) == len(want) == 4
+        assert verify_witness(code, side, got)
+
+
+@pytest.fixture(scope="module")
+def large_codes():
+    built = {f"paley{q}": _paley_code(p, r)
+             for q, (p, r) in {49: (7, 2), 73: (73, 1), 81: (3, 4), 89: (89, 1),
+                               97: (97, 1)}.items()}
+    built["lift5"] = _lift_code(5)
+    return built
+
+
+@pytest.mark.parametrize("w", [2, 3])
+@pytest.mark.parametrize("name", ["paley49", "paley73", "paley81", "paley89",
+                                  "paley97", "lift5"])
+def test_engine_matches_all_roots_oracle(large_codes, name, w):
+    # beyond the brute force's reach: each cycle rooted at its lowest row
+    # gives the report of the BFS from every row, witnesses included
+    code = large_codes[name]
+    assert distance_search(code, w) == all_roots_distance(code, w)
 
 
 @st.composite

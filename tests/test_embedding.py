@@ -1,8 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from paleylift import gf2, graphs
+from embedding_oracle import first_self_dual_embedding
+from paleylift import fields, gf2, graphs, paley
 from paleylift.embedding import (
     RotationSystem,
     dual_graph,
@@ -258,6 +260,41 @@ def test_search_vertex_transitive_hint_is_lossy(paley9):
 def test_search_budget_exhaustion(paley9):
     with pytest.raises(SearchBudgetExceeded):
         search_self_dual_embedding(paley9.graph, target_genus=1, budget=10)
+
+
+def test_search_node_count_on_paley9():
+    # Paley-9 with the default modulus x^2 + 1: the open face segment prune
+    # leaves 1844 nodes up to the first witness in enumeration order
+    graph = paley.build_paley(fields.make_field(3, 2)).graph
+    found = search_self_dual_embedding(graph, target_genus=1, budget=1844)
+    assert found.rotations == (
+        (0, 4, 2, 6), (1, 12, 8, 10), (3, 14, 9, 16), (5, 18, 22, 20),
+        (11, 24, 26, 19), (15, 21, 28, 25), (7, 32, 23, 30), (13, 31, 27, 34),
+        (17, 35, 29, 33))
+    with pytest.raises(SearchBudgetExceeded):
+        search_self_dual_embedding(graph, target_genus=1, budget=1843)
+
+
+@st.composite
+def small_connected_graphs(draw):
+    """A connected simple graph on 2 to 5 vertices (so of maximum degree at
+    most 4): a random spanning tree plus random further edges."""
+    n = draw(st.integers(2, 5))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    others = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
+    extra = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+    return Graph(n, tree | set(extra))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=small_connected_graphs(), genus=st.integers(0, 2), matched=st.booleans())
+def test_search_matches_exhaustive_oracle(graph, genus, matched):
+    # |F| = |V| fixes the only genus the search explores; aim at it half the time
+    excess = graph.edge_count - 2 * graph.vertex_count + 2
+    if matched and excess in (0, 2, 4):
+        genus = excess // 2
+    assert (search_self_dual_embedding(graph, target_genus=genus)
+            == first_self_dual_embedding(graph, genus))
 
 
 def test_search_deterministic(paley9, paley9_rotation):
