@@ -96,38 +96,44 @@ def _read_witness(path: Path) -> tuple[str, int, tuple[int, ...]]:
 # -- commands -------------------------------------------------------------------
 
 
+def _write_builder_outputs(args: argparse.Namespace, argv: list[str],
+                           graph: graphs.Graph, adjacency: BinaryMatrix,
+                           timings: dict[str, float],
+                           rotation: embedding.RotationSystem | None = None) -> Path:
+    """Write a builder's artifacts into --out: graph.json, rotation.json
+    when given, adjacency.txt, adjacency.alist under --format alist, and
+    then the manifest."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    t0 = time.perf_counter()
+    outputs = [out / "graph.json"]
+    graphs.write_graph(graph, outputs[-1])
+    if rotation is not None:
+        outputs.append(out / "rotation.json")
+        embedding.write_rotation(rotation, outputs[-1])
+    outputs.append(out / "adjacency.txt")
+    outputs[-1].write_text(adjacency.to_text())
+    if args.fmt == "alist":
+        outputs.append(out / "adjacency.alist")
+        outputs[-1].write_text(_matrix_to_alist(adjacency))
+    timings["write"] = time.perf_counter() - t0
+    _write_manifest(out, argv, [], outputs, timings)
+    return out
+
+
 def cmd_lift(args: argparse.Namespace, argv: list[str]) -> int:
     if args.t < 3:
         return _usage_error(f"t must be at least 3, got {args.t}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    timings: dict[str, float] = {}
     t0 = time.perf_counter()
     rotation = voltage.derived_embedding(voltage.build_voltage_graph(args.t))
     lifted = rotation.graph
     block = voltage.block_adjacency(args.t)
-    timings["build"] = time.perf_counter() - t0
+    timings = {"build": time.perf_counter() - t0}
     if graphs.adjacency_matrix(lifted) != block:
         print("error: lift adjacency disagrees with the closed-form blocks",
               file=sys.stderr)
         return EXIT_VERIFICATION
-    t0 = time.perf_counter()
-    outputs = []
-    gpath = out / "graph.json"
-    graphs.write_graph(lifted, gpath)
-    outputs.append(gpath)
-    rpath = out / "rotation.json"
-    embedding.write_rotation(rotation, rpath)
-    outputs.append(rpath)
-    apath = out / "adjacency.txt"
-    apath.write_text(block.to_text())
-    outputs.append(apath)
-    if args.fmt == "alist":
-        al = out / "adjacency.alist"
-        al.write_text(_matrix_to_alist(block))
-        outputs.append(al)
-    timings["write"] = time.perf_counter() - t0
-    _write_manifest(out, argv, [], outputs, timings)
+    out = _write_builder_outputs(args, argv, lifted, block, timings, rotation)
     print(f"lift t={args.t}: {lifted.vertex_count} vertices, "
           f"{lifted.edge_count} edges -> {out}")
     return EXIT_OK
@@ -140,24 +146,8 @@ def cmd_paley(args: argparse.Namespace, argv: list[str]) -> int:
         built = paley.build_paley(field)
     except (ValueError, fields.FieldConstructionError) as exc:
         return _usage_error(str(exc))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    outputs = []
-    gpath = out / "graph.json"
-    graphs.write_graph(built.graph, gpath)
-    outputs.append(gpath)
-    adj = graphs.adjacency_matrix(built.graph)
-    apath = out / "adjacency.txt"
-    apath.write_text(adj.to_text())
-    outputs.append(apath)
-    if args.fmt == "alist":
-        al = out / "adjacency.alist"
-        al.write_text(_matrix_to_alist(adj))
-        outputs.append(al)
-    timings["write"] = time.perf_counter() - t0
-    _write_manifest(out, argv, [], outputs, timings)
+    out = _write_builder_outputs(args, argv, built.graph,
+                                 graphs.adjacency_matrix(built.graph), {})
     print(f"paley {field.order}: {built.graph.vertex_count} vertices, "
           f"{built.graph.edge_count} edges -> {out}")
     return EXIT_OK
@@ -251,9 +241,7 @@ def cmd_embed_search(args: argparse.Namespace, argv: list[str]) -> int:
     t0 = time.perf_counter()
     try:
         rotation = embedding.search_self_dual_embedding(
-            graph, args.genus, budget=args.budget,
-            vertex_transitive=args.vertex_transitive,
-        )
+            graph, args.genus, budget=args.budget)
     except SearchBudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -294,8 +282,6 @@ def cmd_verify(args: argparse.Namespace, argv: list[str]) -> int:
 
     check("css condition hx hz^T = 0",
           multiply(code.hx, code.hz.transpose()).is_zero())
-    check("column counts match n",
-          code.hx.cols == code.n and code.hz.cols == code.n)
     check("k = n - rank(hx) - rank(hz)",
           code.k == code.n - rank(code.hx) - rank(code.hz))
     if code.genus is not None:
@@ -386,9 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="graph JSON file")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--budget", type=int, default=embedding.DEFAULT_SEARCH_BUDGET)
-    p.add_argument("--vertex-transitive", action="store_true",
-                   dest="vertex_transitive",
-                   help="freeze the first vertex's rotation (symmetry heuristic)")
     p.add_argument("--out", required=True, help="rotation JSON output path")
 
     p = sub.add_parser("verify", help="re-run every invariant on a code bundle")

@@ -75,24 +75,20 @@ def _cycle_graph(h: BinaryMatrix,
                  name: str) -> tuple[list[list[tuple[int, int]]], list[int]]:
     """The graph whose vertices are the rows of h and whose edges are its
     columns: adjacency lists of (neighbour, column), and the loops (columns
-    of weight 0).  ker(h) is then the graph's cycle space."""
-    ends: list[list[int]] = [[] for _ in range(h.cols)]
-    for i, row in enumerate(h.row_bits):
-        while row:
-            low = row & -row
-            ends[low.bit_length() - 1].append(i)
-            row ^= low
+    of weight 0).  ker(h) is then the graph's cycle space.  A column of
+    weight 2 joins its lowest and highest set rows."""
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(h.rows)]
     loops = []
-    for j, rows in enumerate(ends):
-        if len(rows) == 2:
-            u, v = rows
+    for j, column in enumerate(h.transpose().row_bits):
+        weight = column.bit_count()
+        if weight == 2:
+            u, v = (column & -column).bit_length() - 1, column.bit_length() - 1
             adjacency[u].append((v, j))
             adjacency[v].append((u, j))
-        elif not rows:
+        elif not weight:
             loops.append(j)
         else:
-            raise ValueError(f"{name} column {j} has weight {len(rows)}; the distance "
+            raise ValueError(f"{name} column {j} has weight {weight}; the distance "
                              f"engine needs a surface code (column weights 0 or 2)")
     return adjacency, loops
 
@@ -319,16 +315,20 @@ def _json_int(payload: dict, key: str, optional: bool = False) -> Optional[int]:
 
 
 def read_bundle(directory: str | Path) -> CssCode:
-    """Load a bundle; malformed content raises ValueError, a missing file
-    OSError."""
+    """Load a bundle; malformed content, matrices among them whose column
+    count is not n, raises ValueError, a missing file OSError."""
     directory = Path(directory)
     hx = BinaryMatrix.from_text((directory / "hx.txt").read_text())
     hz = BinaryMatrix.from_text((directory / "hz.txt").read_text())
     payload = json.loads((directory / "code.json").read_text())
     if not isinstance(payload, dict) or not isinstance(payload.get("family"), str):
         raise ValueError("code.json must be an object with a string family")
+    n = _json_int(payload, "n")
+    if not hx.cols == hz.cols == n:
+        raise ValueError(f"hx.txt and hz.txt have {hx.cols} and {hz.cols} "
+                         f"columns; code.json has n = {n}")
     return CssCode(
-        hx=hx, hz=hz, n=_json_int(payload, "n"), k=_json_int(payload, "k"),
+        hx=hx, hz=hz, n=n, k=_json_int(payload, "k"),
         d_lower=_json_int(payload, "d_lower"),
         d_found=_json_int(payload, "d_found", optional=True),
         family=payload["family"],

@@ -211,7 +211,6 @@ def search_self_dual_embedding(
     graph: Graph,
     target_genus: int,
     budget: int = DEFAULT_SEARCH_BUDGET,
-    vertex_transitive: bool = False,
 ) -> Optional[RotationSystem]:
     """Depth-first search for a rotation system of the target genus whose
     dual is a simple graph isomorphic to the input.
@@ -224,13 +223,12 @@ def search_self_dual_embedding(
     open face segment is already longer than the largest degree.  Each open
     segment is walked whole, from its dart at an unassigned vertex, so the
     last prune sees its full length.  The prunes only cut branches with no
-    witness, so they change the node count and not the result.
+    witness, so they change the node count and not the result.  A complete
+    assignment is checked with trace_faces, dual_graph and find_isomorphism.
 
     Returns None when the space is exhausted (definitive absence).  Raises
     SearchBudgetExceeded when the node budget runs out first - that outcome
-    is undecided, not absence.  With vertex_transitive=True the first
-    vertex's rotation is frozen to its canonical order, shrinking the space
-    by a factor (d-1)!/2; use only for graphs whose symmetry justifies it.
+    is undecided, not absence.
     """
     if not graph.is_connected():
         raise ValueError("embedding search requires a connected graph")
@@ -251,8 +249,6 @@ def search_self_dual_embedding(
     candidates = [
         _vertex_candidates(inc[v], halve=(v == 0)) for v in range(m)
     ]
-    if vertex_transitive and candidates[0]:
-        candidates[0] = candidates[0][:1]
 
     succ = [-1] * num_darts
     nodes = 0
@@ -292,53 +288,22 @@ def search_self_dual_embedding(
                 allowed[length] = remaining - 1
         return True
 
-    def accept_full() -> Optional[RotationSystem]:
-        visited = [False] * num_darts
-        walks = []
-        for d0 in range(num_darts):
-            if visited[d0]:
-                continue
-            walk = []
-            d = d0
-            while not visited[d]:
-                visited[d] = True
-                walk.append(d)
-                d = succ[d ^ 1]
-            walks.append(walk)
-        if len(walks) != faces_needed:
+    def accept_full(chosen: tuple[tuple[int, ...], ...]) -> Optional[RotationSystem]:
+        rotation = RotationSystem(graph, chosen)
+        faces = trace_faces(rotation)
+        if faces.genus != target_genus:
             return None
-        face_of = {}
-        for fi, walk in enumerate(walks):
-            for d in walk:
-                face_of[d] = fi
-        dual_edges = set()
-        for e in range(n_e):
-            a, b = face_of[2 * e], face_of[2 * e + 1]
-            if a == b:
-                return None  # dual loop
-            key = (min(a, b), max(a, b))
-            if key in dual_edges:
-                return None  # dual multi-edge
-            dual_edges.add(key)
-        dual = Graph(len(walks), list(dual_edges))
-        if find_isomorphism(dual, graph) is None:
+        dual = dual_graph(rotation, faces)
+        if not dual.is_simple or find_isomorphism(dual.graph, graph) is None:
             return None
-        rotations = []
-        for v in range(m):
-            start = inc[v][0]
-            rot = [start]
-            d = succ[start]
-            while d != start:
-                rot.append(d)
-                d = succ[d]
-            rotations.append(tuple(rot))
-        return RotationSystem(graph=graph, rotations=tuple(rotations))
+        return rotation
 
-    def dfs(v: int) -> Optional[RotationSystem]:
+    def dfs(chosen: tuple[tuple[int, ...], ...]) -> Optional[RotationSystem]:
+        """Extend the candidates chosen at vertices 0 .. len(chosen) - 1."""
         nonlocal nodes
-        if v == m:
-            return accept_full()
-        for seq in candidates[v]:
+        if len(chosen) == m:
+            return accept_full(chosen)
+        for seq in candidates[len(chosen)]:
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(
@@ -348,14 +313,14 @@ def search_self_dual_embedding(
             for i in range(k):
                 succ[seq[i]] = seq[(i + 1) % k]
             if partial_ok():
-                result = dfs(v + 1)
+                result = dfs(chosen + (seq,))
                 if result is not None:
                     return result
             for d in seq:
                 succ[d] = -1
         return None
 
-    return dfs(0)
+    return dfs(())
 
 
 # -- rotation-system persistence ----------------------------------------------

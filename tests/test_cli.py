@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,16 +68,54 @@ def test_manifest_digests(tmp_path):
         assert actual == digest
 
 
+# sha256 of each builder's artifacts; under --format alist the same files
+# plus adjacency.alist
+PALEY9_DIGESTS = {
+    "graph.json": "8d89fe4c2063227347aa7831b2de0ca2888874e43395092df599f84e1f3ef341",
+    "adjacency.txt": "d2810e45a44272d47625041fc1cd4f80d82745e206dbc306926cbf6eeb30dd75",
+}
+LIFT3_DIGESTS = {
+    "graph.json": "13d45b341c47670b6dd5fd7f5231f70e2b8e0bbe41eaaf0ab310a2fa66c35bfc",
+    "rotation.json": "28b812c2001758c5ced9d347a2682ab6ac2ab51f6daf6f313d7d4b86e4002337",
+    "adjacency.txt": "744a5ddc1548eee1bbc55e95d9092992086b5f093d524e643e15b0ccb67f44eb",
+}
+BUILDER_DIGESTS = [
+    (("paley", 3, 2, "--modulus", "2,1,1"), PALEY9_DIGESTS),
+    (("paley", 3, 2, "--modulus", "2,1,1", "--format", "alist"), {
+        **PALEY9_DIGESTS,
+        "adjacency.alist": "6bcef4da3b0f479e49509b0a9e80380f5f8a7f3c4fac61568a13f3797c29e4ec"}),
+    (("lift", 3), LIFT3_DIGESTS),
+    (("lift", 3, "--format", "alist"), {
+        **LIFT3_DIGESTS,
+        "adjacency.alist": "56027ad603317acf1b2a69f3bf84b0275474b5d3bcb0c7a1d34d622828857eef"}),
+]
+
+
 def test_builder_outputs_byte_identical(tmp_path):
-    for label, argv, names in (
-        ("paley", ("paley", 3, 2, "--modulus", "2,1,1"), ("graph.json", "adjacency.txt")),
-        ("lift", ("lift", 3), ("graph.json", "rotation.json", "adjacency.txt")),
-    ):
-        a, b = tmp_path / label / "a", tmp_path / label / "b"
-        for out in (a, b):
+    """Two runs of each builder write the same pinned bytes, and each
+    manifest lists exactly the artifacts written."""
+    for i, (argv, digests) in enumerate(BUILDER_DIGESTS):
+        for out in (tmp_path / str(i) / "a", tmp_path / str(i) / "b"):
             assert run(*argv, "--out", out) == 0
-        for name in names:
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert sorted(manifest["outputs"]) == sorted(str(out / name) for name in digests)
+            for name, digest in digests.items():
+                assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, \
+                    (argv, name)
+
+
+def test_import_and_paley_leave_numpy_unloaded(tmp_path):
+    """numpy is imported lazily, by the lift's closed-form blocks alone."""
+    script = ("import sys\n"
+              "from paleylift.cli import main\n"
+              f"assert main(['paley', '3', '2', '--out', {str(tmp_path / 'p')!r}]) == 0\n"
+              "sys.exit('numpy' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr or "numpy was imported"
 
 
 GOLDEN_BUILDS = {
@@ -204,6 +245,16 @@ def test_embed_search_budget_exit(tmp_path):
                "--budget", 10, "--out", tmp_path / "r.json") == 3
 
 
+def test_embed_search_rejects_vertex_transitive(tmp_path):
+    paley_dir = tmp_path / "p"
+    assert run("paley", 3, 2, "--out", paley_dir) == 0
+    with pytest.raises(SystemExit) as exc:
+        run("embed-search", paley_dir / "graph.json", "--genus", 1,
+            "--vertex-transitive", "--out", tmp_path / "r.json")
+    assert exc.value.code == 2
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_embed_search_absence_report(tmp_path):
     c4 = graphs.Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     gpath = tmp_path / "c4.json"
@@ -278,6 +329,14 @@ def _pad_first_one(text):
     return "\n".join([header, " ".join(tokens), rest])
 
 
+def _drop_last_column(text):
+    """Matrix text with its last column removed: one column fewer than n."""
+    header, *rows = text.splitlines()
+    count, cols = header.split()
+    return "\n".join([f"{count} {int(cols) - 1}"]
+                     + [row.rsplit(" ", 1)[0] for row in rows]) + "\n"
+
+
 def _sign_header(text):
     """Matrix text whose header row count is written with a + sign."""
     return "+" + text
@@ -310,6 +369,8 @@ def _sign_header(text):
     ("bundle/hz.txt", _pad_first_one, "verify", 1),
     ("bundle/hz.txt", _sign_header, "distance", 2),
     ("bundle/hz.txt", _sign_header, "verify", 1),
+    ("bundle/hz.txt", _drop_last_column, "distance", 2),
+    ("bundle/hz.txt", _drop_last_column, "verify", 1),
     # --out is an existing file, or (for embed-search) a path under one
     ("out", "", "paley", 2),
     ("out", "", "lift", 2),

@@ -248,15 +248,6 @@ def test_search_paley9(paley9, paley9_rotation):
     assert graphs.find_isomorphism(dual.graph, paley9.graph) is not None
 
 
-def test_search_vertex_transitive_hint_is_lossy(paley9):
-    # freezing the first vertex's rotation shrinks the space by (d-1)!/2 but
-    # can miss witnesses; on Paley-9 every self-dual genus-1 system has a
-    # non-canonical rotation at vertex 0, so the hinted search comes up empty
-    hinted = search_self_dual_embedding(paley9.graph, target_genus=1,
-                                        vertex_transitive=True)
-    assert hinted is None
-
-
 def test_search_budget_exhaustion(paley9):
     with pytest.raises(SearchBudgetExceeded):
         search_self_dual_embedding(paley9.graph, target_genus=1, budget=10)
