@@ -142,12 +142,14 @@ def cmd_lift(args: argparse.Namespace, argv: list[str]) -> int:
 def cmd_paley(args: argparse.Namespace, argv: list[str]) -> int:
     try:
         modulus = _parse_modulus(args.modulus) if args.modulus else None
+        t0 = time.perf_counter()
         field = fields.make_field(args.p, args.r, modulus)
         built = paley.build_paley(field)
+        timings = {"build": time.perf_counter() - t0}
     except (ValueError, fields.FieldConstructionError) as exc:
         return _usage_error(str(exc))
     out = _write_builder_outputs(args, argv, built.graph,
-                                 graphs.adjacency_matrix(built.graph), {})
+                                 graphs.adjacency_matrix(built.graph), timings)
     print(f"paley {field.order}: {built.graph.vertex_count} vertices, "
           f"{built.graph.edge_count} edges -> {out}")
     return EXIT_OK

@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -21,26 +23,37 @@ class SearchBudgetExceeded(RuntimeError):
     """A bounded search ran out of nodes; the question is undecided."""
 
 
+_FLAG_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _flags(bits: int) -> bytes:
+    """One byte per bit of bits, lowest first: 1 where the bit is set and 0
+    where it is clear, up to the highest set bit; a selector for compress."""
+    return bin(bits)[:1:-1].encode().translate(_FLAG_BYTES)
+
+
 class Graph:
     """Simple undirected graph: bit v of neighbours[u] is set iff uv is an
     edge.  The edges, sorted as (u, v) with u < v, are read off the masks."""
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
+        """Check and store the edges.  Each is set as two bytes of the
+        "0"/"1" rows below, so an edge costs O(1) whatever vertex_count is;
+        each row, reversed, is then read as one binary numeral."""
         if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
-        masks = [0] * vertex_count
+        rows = [bytearray(b"0" * vertex_count) for _ in range(vertex_count)]
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise ValueError(f"edge ({u},{v}) outside vertex range 0..{vertex_count - 1}")
-            bit = 1 << v
-            if masks[u] & bit:   # the edge is in both masks once added
+            row = rows[u]
+            if row[v] == 49:   # ord("1"): the edge is in both rows once added
                 raise ValueError(f"duplicate edge {(u, v) if u < v else (v, u)}")
-            masks[u] |= bit
-            masks[v] |= 1 << u
+            row[v] = rows[v][u] = 49
         self.vertex_count = vertex_count
-        self.neighbours: tuple[int, ...] = tuple(masks)
+        self.neighbours: tuple[int, ...] = tuple(int(row[::-1], 2) for row in rows)
 
     @classmethod
     def from_neighbours(cls, masks: Iterable[int]) -> "Graph":
@@ -64,10 +77,7 @@ class Graph:
         n = self.vertex_count
         out = []
         for u, m in enumerate(self.neighbours):
-            # the sentinel bit n gives bin() n digits after "0b1"; reversed,
-            # digit v is bit v
-            bits = bin(m | 1 << n)[:2:-1]
-            out.extend([(u, v) for v in range(u + 1, n) if bits[v] == "1"])
+            out.extend(zip(repeat(u), compress(range(u + 1, n), _flags(m >> u + 1))))
         return tuple(out)
 
     @cached_property
@@ -122,17 +132,26 @@ class IsomorphismCertificate:
 
 
 def verify_isomorphism(source: Graph, target: Graph, mapping: tuple[int, ...]) -> bool:
-    """Exhaustive check that mapping sends E(source) exactly onto E(target):
-    a permutation that takes every source edge to a target edge, between
-    graphs with equally many edges, is a bijection of the edge sets."""
-    if source.vertex_count != target.vertex_count:
+    """True iff mapping is a permutation of the vertices, given as plain
+    ints, that sends E(source) exactly onto E(target).  Checked row by row:
+    target row mapping[u], pulled back through mapping, must equal source
+    row u, i.e. uw is an edge iff mapping[u]mapping[w] is one.  Each pull-
+    back is one itemgetter over the row's bit string."""
+    n = source.vertex_count
+    if n != target.vertex_count:
         return False
-    if sorted(mapping) != list(range(source.vertex_count)):
+    if any(type(x) is not int for x in mapping) or sorted(mapping) != list(range(n)):
         return False
-    if source.edge_count != target.edge_count:
-        return False
+    if n == 0:
+        return True   # itemgetter needs at least one key
+    sentinel = 1 << n
+    pull_back = itemgetter(*mapping)
     image = target.neighbours
-    return all(image[mapping[u]] >> mapping[v] & 1 for u, v in source.edges)
+    # bin(m | sentinel)[:2:-1] has n digits, digit v being bit v of m; for
+    # n == 1 pull_back returns one character, which join also takes whole
+    return all("".join(pull_back(bin(image[w] | sentinel)[:2:-1]))
+               == bin(m | sentinel)[:2:-1]
+               for m, w in zip(source.neighbours, mapping))
 
 
 def complement(graph: Graph) -> Graph:
@@ -252,8 +271,18 @@ def is_int_pair(value: object) -> bool:
 
 
 def graph_to_json(graph: Graph) -> str:
-    payload = {"vertex_count": graph.vertex_count, "edges": graph.edges}
-    return json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n"
+    """The canonical JSON text of the graph, as json.dumps writes
+    {"vertex_count": n, "edges": graph.edges} with sorted keys and no
+    spaces, built row by row from the neighbour masks."""
+    n = graph.vertex_count
+    names = [str(v) for v in range(n)]
+    rows = []
+    for u, m in enumerate(graph.neighbours):
+        above = m >> u + 1
+        if above:
+            head = "[" + names[u] + ","
+            rows.append(head + ("]," + head).join(compress(names[u + 1:], _flags(above))) + "]")
+    return '{"edges":[' + ",".join(rows) + '],"vertex_count":' + str(n) + "}\n"
 
 
 def graph_from_json(text: str) -> Graph:

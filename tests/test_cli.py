@@ -104,6 +104,14 @@ def test_builder_outputs_byte_identical(tmp_path):
                     (argv, name)
 
 
+@pytest.mark.parametrize("argv", [("paley", 3, 2), ("lift", 3)])
+def test_builder_manifest_times_build_and_write(tmp_path, argv):
+    assert run(*argv, "--out", tmp_path) == 0
+    timings = json.loads((tmp_path / "manifest.json").read_text())["timings"]
+    assert sorted(timings) == ["build", "write"]
+    assert all(isinstance(v, float) and v >= 0 for v in timings.values())
+
+
 def test_import_and_paley_leave_numpy_unloaded(tmp_path):
     """numpy is imported lazily, by the lift's closed-form blocks alone."""
     script = ("import sys\n"
@@ -346,6 +354,8 @@ def _sign_header(text):
     ("graph.json", '{"vertex_count":"3","edges":[]}', "code", 2),
     ("graph.json", "[]", "code", 2),
     ("graph.json", '{"vertex_count":3,"edges":[1]}', "code", 2),
+    ("graph.json", '{"vertex_count":3,"edges":[[true,1]]}', "code", 2),
+    ("graph.json", '{"vertex_count":3,"edges":[[1,0],[0,1]]}', "code", 2),
     ("rotation.json", '{"rotations":[1,2]}', "code", 2),
     ("rotation.json", '{"rotations":[[[0,"x"]]]}', "code", 2),
     ("bundle/dz_witness.json", "{", "verify", 1),

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import graph_oracle
 import isomorphism_oracle
@@ -83,12 +83,18 @@ def test_graph_matches_set_oracle(case, data):
     n, edge_list = case
     try:
         want = graph_oracle.normalize(n, edge_list)
-    except ValueError:
-        with pytest.raises(ValueError):
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
             Graph(n, edge_list)
+        assert str(info.value) == str(exc)
+        with pytest.raises(ValueError) as info:
+            graph_oracle.masks(n, edge_list)
+        assert str(info.value) == str(exc)
         return
     g = Graph(n, edge_list)
-    assert g.edges == want and g.edge_count == len(want)
+    assert g.neighbours == graph_oracle.masks(n, edge_list)
+    assert g.edges == want == graph_oracle.mask_edges(g.neighbours)
+    assert g.edge_count == len(want)
     assert g.edge_index == {e: i for i, e in enumerate(want)}
     adj = graph_oracle.adjacency(n, want)
     assert [g.degree(v) for v in range(n)] == [len(a) for a in adj]
@@ -100,7 +106,8 @@ def test_graph_matches_set_oracle(case, data):
     assert comp.edges == graph_oracle.complement(n, want)
 
     # a target isomorphic to g, or g's complement, and a mapping that is the
-    # relabelling, another permutation, or not a permutation at all
+    # relabelling, another permutation, not a permutation at all, or the
+    # relabelling with float or bool entries
     perm = tuple(data.draw(st.permutations(range(n))))
     target = data.draw(st.sampled_from([
         Graph(n, [(perm[u], perm[v]) for u, v in want]), comp]))
@@ -108,9 +115,28 @@ def test_graph_matches_set_oracle(case, data):
         st.just(perm),
         st.permutations(range(n)).map(tuple),
         st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n).map(tuple),
-        st.lists(st.integers(0, n), max_size=n + 1).map(tuple)))
-    assert verify_isomorphism(g, target, mapping) == graph_oracle.verify_isomorphism(
-        n, want, target.edges, mapping)
+        st.lists(st.integers(0, n), max_size=n + 1).map(tuple),
+        st.just(tuple(map(float, perm))),
+        st.lists(st.booleans(), min_size=n, max_size=n).map(tuple)))
+    verdict = verify_isomorphism(g, target, mapping)
+    assert verdict == graph_oracle.verify_isomorphism(n, want, target.edges, mapping)
+    assert verdict == graph_oracle.mask_verify_isomorphism(
+        g.neighbours, target.neighbours, mapping)
+
+
+def test_verify_isomorphism_rejects_non_int_mappings():
+    k2 = complete_graph(2)
+    assert verify_isomorphism(k2, k2, (1, 0))
+    assert not verify_isomorphism(k2, k2, (1.0, 0.0))
+    assert not verify_isomorphism(k2, k2, (True, False))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_verify_isomorphism_on_tiny_graphs(n):
+    g = Graph(n, [(0, 1)] if n == 2 else [])
+    assert verify_isomorphism(g, g, tuple(range(n)))
+    assert verify_isomorphism(g, g, tuple(reversed(range(n))))
+    assert not verify_isomorphism(g, g, tuple(range(n + 1)))
 
 
 def test_edges_sorted_canonically():
@@ -275,9 +301,38 @@ def test_adjacency_matrix_symmetric(paley9):
     assert all(a.entry(i, i) == 0 for i in range(a.rows))
 
 
-def test_json_round_trip(paley9):
-    text = graph_to_json(paley9.graph)
-    assert graph_from_json(text) == paley9.graph
+def test_json_round_trip(paley9, lift3):
+    for graph in (paley9.graph, lift3):
+        text = graph_to_json(graph)
+        assert text == graph_oracle.to_json(graph.vertex_count, graph.edges)
+        assert graph_from_json(text) == graph
+
+
+@st.composite
+def dense_graphs(draw):
+    """A graph on 0 to 40 vertices: edgeless, complete, or each pair an
+    edge with a drawn probability."""
+    n = draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(["edgeless", "complete", "random"]))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if kind == "random":
+        density = draw(st.floats(0, 1))
+        rng = draw(st.randoms(use_true_random=False))
+        pairs = [e for e in pairs if rng.random() < density]
+    return Graph(n, [] if kind == "edgeless" else pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=dense_graphs())
+@example(graph=Graph(0, []))
+@example(graph=Graph(1, []))
+@example(graph=Graph(40, []))
+@example(graph=complete_graph(40))
+def test_writer_matches_json_dumps_oracle(graph):
+    text = graph_to_json(graph)
+    assert text == graph_oracle.to_json(graph.vertex_count,
+                                        graph_oracle.mask_edges(graph.neighbours))
+    assert graph_from_json(text) == graph
 
 
 def test_json_reader_sorts_and_validates():
@@ -285,3 +340,16 @@ def test_json_reader_sorts_and_validates():
     assert g.edges == ((0, 1), (1, 2))
     with pytest.raises(ValueError):
         graph_from_json('{"vertex_count": 2, "edges": [[0, 0]]}')
+
+
+@pytest.mark.parametrize("text, match", [
+    ('{"vertex_count":3,"edges":[[true,1]]}', "integer pairs"),
+    ('{"vertex_count":3,"edges":[[0.0,1]]}', "integer pairs"),
+    ('{"vertex_count":3,"edges":[[0,1,2]]}', "integer pairs"),
+    ('{"vertex_count":3,"edges":[[[0,1]]]}', "integer pairs"),
+    ('{"vertex_count":-1,"edges":[]}', "non-negative"),
+    ('{"vertex_count":3,"edges":[[1,0],[0,1]]}', r"duplicate edge \(0, 1\)"),
+])
+def test_json_reader_rejects_malformed_graphs(text, match):
+    with pytest.raises(ValueError, match=match):
+        graph_from_json(text)
