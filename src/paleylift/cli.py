@@ -2,8 +2,9 @@
 
 Each builder command persists every artifact it produces plus a
 manifest.json recording the command line, input/output content digests,
-and per-stage timings.  Artifact bytes are deterministic for identical
-inputs; the manifest's timing block is a run log, not an artifact.
+per-stage timings and, for `distance`, each side's work counters.
+Artifact bytes are deterministic for identical inputs; the manifest's
+timing and counter blocks are a run log, not an artifact.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 search budget exhaustion.
@@ -11,6 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -33,13 +35,16 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(out_dir: Path, argv: list[str], inputs: list[Path],
-                    outputs: list[Path], timings: dict[str, float]) -> None:
+                    outputs: list[Path], timings: dict[str, float],
+                    counters: dict | None = None) -> None:
     manifest = {
         "command": argv,
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": {str(p): _sha256(p) for p in outputs},
         "timings": {k: round(v, 6) for k, v in timings.items()},
     }
+    if counters is not None:
+        manifest["counters"] = counters
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
@@ -208,7 +213,9 @@ def cmd_distance(args: argparse.Namespace, argv: list[str]) -> int:
                  "support": list(witness)},
                 indent=2, sort_keys=True) + "\n")
             outputs.append(p)
-    _write_manifest(bundle, argv, [], outputs, timings)
+    counters = {"dz": dataclasses.asdict(report.dz_counters),
+                "dx": dataclasses.asdict(report.dx_counters)}
+    _write_manifest(bundle, argv, [], outputs, timings, counters)
     print(f"distance: {report.conclusion} (searched weight <= {report.searched_weight})")
     return EXIT_OK
 

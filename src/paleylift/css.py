@@ -6,7 +6,7 @@ matrix of a rotation system, so k = 2 * genus.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -60,8 +60,22 @@ def build_code_embedding(
 # -- distance ------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class SearchCounters:
+    """Work of one side's systole search: BFS roots searched, those of them
+    searched one below the incumbent's weight, BFS levels expanded,
+    candidates offered, and the row-space membership tests they needed."""
+
+    roots: int = 0
+    narrowed: int = 0
+    levels: int = 0
+    offers: int = 0
+    membership: int = 0
+
+
+@dataclass(frozen=True)
 class DistanceReport:
-    """Outcome of a bounded minimum-weight logical search."""
+    """Outcome of a bounded minimum-weight logical search.  The work
+    counters are a run log: reports compare equal without them."""
 
     dz_witness: Optional[tuple[int, ...]]
     dx_witness: Optional[tuple[int, ...]]
@@ -69,6 +83,8 @@ class DistanceReport:
     d_found: Optional[int]
     d_lower: int
     conclusion: str
+    dz_counters: SearchCounters = field(default_factory=SearchCounters, compare=False)
+    dx_counters: SearchCounters = field(default_factory=SearchCounters, compare=False)
 
 
 def _cycle_graph(h: BinaryMatrix,
@@ -98,10 +114,10 @@ def _systole_side(
     modulo: BinaryMatrix,
     w_max: int,
     name: str,
-) -> Optional[tuple[int, ...]]:
+) -> tuple[Optional[tuple[int, ...]], SearchCounters]:
     """A minimum-weight vector of ker(kernel_of) outside rowspace(modulo)
     if its weight is <= w_max, else None: the smallest (weight, sorted
-    support) candidate below.
+    support) candidate below; and the search's work counters.
 
     Every column of kernel_of has weight 0 or 2, so the kernel is the cycle
     space of _cycle_graph(kernel_of).  The cycles outside a subspace satisfy
@@ -113,20 +129,44 @@ def _systole_side(
     cycle is sought from its lowest row only: the BFS from root enters rows
     above root alone.  The candidates are therefore the loops and, from
     every root, path(x) ^ path(y) ^ e for every non-tree edge e = xy of the
-    BFS ball of radius w_max // 2 in the rows >= root with depth(x) +
-    depth(y) + 1 <= w_max.  Row-space membership is still tested in the
-    whole of rowspace(modulo).
+    BFS ball of radius w // 2 in the rows >= root with depth(x) + depth(y)
+    + 1 <= w.  Row-space membership is still tested in the whole of
+    rowspace(modulo).  The BFS stops early when its frontier runs empty.
+
+    The bound w of each root is set by the incumbent witness, the best
+    vector held when the root's search starts.  A candidate from root uses
+    only columns that join two rows >= root, all of them at or above
+    lowest[root].  Without an incumbent w = w_max.  With one, w is its
+    weight, less one when lowest[root] exceeds the incumbent's lowest
+    column: every candidate of equal weight from root then lacks that
+    column and holds none below it, so it comes later in sorted-support
+    order and cannot replace the incumbent.  w never rises from one root to
+    the next, since the incumbent's weight only falls, a new incumbent of
+    equal weight has a lowest column no higher than the old one's, and
+    lowest[] is nondecreasing; so the search ends at the first root with w
+    < 2, where a root has no candidates (loops are offered first).  The
+    bound loses no shortest logical C: at its lowest row, w >= len(C)
+    unless the incumbent already weighs len(C).
 
     At weight <= 3 the result is also the smallest (weight, sorted support)
     of all such vectors: a smaller one would swap in the lowest of a set of
-    parallel edges, and BFS from its lowest row takes that one into the tree.
+    parallel edges, and BFS from its lowest row takes that one into the
+    tree.  That row is searched to at least its weight, as the smallest
+    vector cannot come after the incumbent.  Above weight 3 the result is a
+    minimum-weight one.
     """
     adjacency, loops = _cycle_graph(kernel_of, name)
     quotient = RowSpace(modulo)
+    # lowest[r]: the lowest column joining two rows >= r (cols if none)
+    lowest = [kernel_of.cols] * (len(adjacency) + 1)
+    for u in range(len(adjacency) - 1, -1, -1):
+        lowest[u] = min([lowest[u + 1]] + [j for v, j in adjacency[u] if v > u])
     best_weight, best = w_max, 0   # best == 0 until a witness is found
+    roots = narrowed = levels = offers = membership = 0
 
     def offer(v: int) -> None:
-        nonlocal best_weight, best
+        nonlocal best_weight, best, offers, membership
+        offers += 1
         weight = v.bit_count()
         if weight > best_weight:
             return
@@ -136,16 +176,26 @@ def _systole_side(
             differ = v ^ best
             if not v & differ & -differ:
                 return
+        membership += 1
         if not quotient.contains(v):
             best_weight, best = weight, v
 
     for j in loops:
         offer(1 << j)
     for root in range(len(adjacency)):
+        narrow = best != 0 and lowest[root] > (best & -best).bit_length() - 1
+        w = best_weight - narrow
+        if w < 2:
+            break
+        roots += 1
+        narrowed += narrow
         path = {root: 0}   # vertex -> columns of its tree path to the root
         tree = set()
         frontier = [root]
-        for _ in range(w_max // 2):
+        for _ in range(w // 2):
+            if not frontier:
+                break
+            levels += 1
             reached = []
             for x in frontier:
                 for y, j in adjacency[x]:
@@ -154,15 +204,18 @@ def _systole_side(
                         tree.add(j)
                         reached.append(y)
             frontier = reached
-        # For even w_max, the rim (depth w_max / 2, reached last) is not
-        # scanned: its edges among themselves are too long, and each of its
-        # edges to an inner vertex is met from the inner end.
-        rim = set() if w_max % 2 else set(frontier)
+        # For even w, the rim (depth w / 2, reached last) is not scanned: its
+        # edges among themselves are too long, and each of its edges to an
+        # inner vertex is met from the inner end.
+        rim = set() if w % 2 else set(frontier)
         for x, to_x in list(path.items())[:len(path) - len(rim)]:
             for y, j in adjacency[x]:
                 if (x < y or y in rim) and j not in tree and y in path:
                     offer(to_x ^ path[y] ^ (1 << j))
-    return tuple(j for j in range(kernel_of.cols) if best >> j & 1) if best else None
+    witness = (tuple(j for j in range(kernel_of.cols) if best >> j & 1)
+               if best else None)
+    return witness, SearchCounters(roots=roots, narrowed=narrowed, levels=levels,
+                                   offers=offers, membership=membership)
 
 
 def distance_search(
@@ -186,18 +239,15 @@ def distance_search(
         raise ValueError(
             f"distance work estimate {work} exceeds the budget {enumeration_budget}"
         )
-    dz = _systole_side(code.hx, code.hz, w_max, "H_X")
-    dx = _systole_side(code.hz, code.hx, w_max, "H_Z")
+    dz, dz_counters = _systole_side(code.hx, code.hz, w_max, "H_X")
+    dx, dx_counters = _systole_side(code.hz, code.hx, w_max, "H_Z")
     weights = [len(w) for w in (dz, dx) if w is not None]
-    if weights:
-        d = min(weights)
-        return DistanceReport(
-            dz_witness=dz, dx_witness=dx, searched_weight=w_max,
-            d_found=d, d_lower=d, conclusion=f"d = {d}",
-        )
+    d = min(weights, default=None)
     return DistanceReport(
-        dz_witness=None, dx_witness=None, searched_weight=w_max,
-        d_found=None, d_lower=w_max + 1, conclusion=f"d > {w_max}",
+        dz_witness=dz, dx_witness=dx, searched_weight=w_max,
+        d_found=d, d_lower=w_max + 1 if d is None else d,
+        conclusion=f"d > {w_max}" if d is None else f"d = {d}",
+        dz_counters=dz_counters, dx_counters=dx_counters,
     )
 
 

@@ -123,17 +123,21 @@ class BinaryMatrix:
         """Serialize: first line "rows cols", then one line per row of its
         bits, column 0 first, separated by single spaces."""
         # The sentinel bit `top` gives every bin() exactly cols digits after
-        # "0b1", also for cols = 0; reversed, they run column 0 first.
+        # "0b1", also for cols = 0; reversed, they run column 0 first and
+        # fill the even bytes of a row whose odd bytes stay spaces.
         top = 1 << self.cols
+        row = bytearray(b" " * (2 * self.cols - 1))
         lines = [f"{self.rows} {self.cols}"]
-        lines.extend(" ".join(bin(r | top)[:2:-1]) for r in self.row_bits)
+        for r in self.row_bits:
+            row[::2] = bin(r | top)[:2:-1].encode()
+            lines.append(row.decode())
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "BinaryMatrix":
         """Parse to_text's format.  Blank lines are skipped; the header counts
         must be plain decimals and every entry the token 0 or 1."""
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        lines = [ln for ln in text.splitlines() if ln and not ln.isspace()]
         if not lines:
             raise ValueError("empty matrix text")
         header = lines[0].split()
@@ -147,7 +151,14 @@ class BinaryMatrix:
         if len(data) != rows:
             raise ValueError(f"expected {rows} data lines, found {len(data)}")
         packed = []
+        width, gap = 2 * cols - 1, " " * (cols - 1)
         for i, ln in enumerate(data):
+            # to_text's own layout: digits at the even offsets, single spaces
+            # between them; read column 0 last by stepping back from the end
+            if (len(ln) == width and ln[1::2] == gap
+                    and ln.count("0") + ln.count("1") == cols):
+                packed.append(int(ln[::-2], 2))
+                continue
             tokens = ln.split()
             bits = "".join(tokens)
             if len(tokens) != cols or len(bits) != cols or bits.strip("01"):

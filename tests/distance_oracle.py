@@ -10,6 +10,10 @@ The all-roots engine runs the systole search's BFS from every row over
 all rows, where the engine roots each cycle at its lowest row only, so it
 offers each short cycle once per row near it.  It reaches the instances
 the brute force cannot.
+
+The min-row engine roots each cycle at its lowest row, as the engine does,
+but searches every root to w_max, where the engine bounds each root by its
+incumbent witness.
 """
 from __future__ import annotations
 
@@ -91,6 +95,57 @@ def all_roots_side(
     return tuple(j for j in range(kernel_of.cols) if best >> j & 1) if best else None
 
 
+def min_row_side(
+    kernel_of: BinaryMatrix,
+    modulo: BinaryMatrix,
+    w_max: int,
+    name: str,
+) -> Optional[tuple[int, ...]]:
+    """`css._systole_side` with every root searched to w_max."""
+    adjacency, loops = _cycle_graph(kernel_of, name)
+    quotient = RowSpace(modulo)
+    best_weight, best = w_max, 0   # best == 0 until a witness is found
+
+    def offer(v: int) -> None:
+        nonlocal best_weight, best
+        weight = v.bit_count()
+        if weight > best_weight:
+            return
+        if weight == best_weight and best:
+            # Of two supports of equal size, the sorted one that comes first
+            # holds the lowest column in which they differ.
+            differ = v ^ best
+            if not v & differ & -differ:
+                return
+        if not quotient.contains(v):
+            best_weight, best = weight, v
+
+    for j in loops:
+        offer(1 << j)
+    for root in range(len(adjacency)):
+        path = {root: 0}   # vertex -> columns of its tree path to the root
+        tree = set()
+        frontier = [root]
+        for _ in range(w_max // 2):
+            reached = []
+            for x in frontier:
+                for y, j in adjacency[x]:
+                    if y > root and y not in path:
+                        path[y] = path[x] | (1 << j)
+                        tree.add(j)
+                        reached.append(y)
+            frontier = reached
+        # For even w_max, the rim (depth w_max / 2, reached last) is not
+        # scanned: its edges among themselves are too long, and each of its
+        # edges to an inner vertex is met from the inner end.
+        rim = set() if w_max % 2 else set(frontier)
+        for x, to_x in list(path.items())[:len(path) - len(rim)]:
+            for y, j in adjacency[x]:
+                if (x < y or y in rim) and j not in tree and y in path:
+                    offer(to_x ^ path[y] ^ (1 << j))
+    return tuple(j for j in range(kernel_of.cols) if best >> j & 1) if best else None
+
+
 def _report(dz, dx, w_max: int) -> DistanceReport:
     weights = [len(w) for w in (dz, dx) if w is not None]
     if weights:
@@ -115,3 +170,10 @@ def all_roots_distance(code: CssCode, w_max: int) -> DistanceReport:
     """The report `css.distance_search` must give, from every root."""
     return _report(all_roots_side(code.hx, code.hz, w_max, "H_X"),
                    all_roots_side(code.hz, code.hx, w_max, "H_Z"), w_max)
+
+
+def min_row_distance(code: CssCode, w_max: int) -> DistanceReport:
+    """The report `css.distance_search` must give, from every root to
+    w_max."""
+    return _report(min_row_side(code.hx, code.hz, w_max, "H_X"),
+                   min_row_side(code.hz, code.hx, w_max, "H_Z"), w_max)

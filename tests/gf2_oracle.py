@@ -1,8 +1,13 @@
 """Test-only per-bit `BinaryMatrix` text writer, transpose and alist writer:
 each entry is read one at a time with shifts and masks, so they are slow but
 independent of the word-level string and set-bit kernels in `gf2` and
-`cli`."""
+`cli`.  The text reader splits every row into tokens, the path
+`BinaryMatrix.from_text` keeps for rows outside `to_text`'s exact layout."""
+import re
+
 from paleylift.gf2 import BinaryMatrix
+
+_DECIMAL = re.compile("0|[1-9][0-9]*")
 
 
 def to_text(m: BinaryMatrix) -> str:
@@ -10,6 +15,30 @@ def to_text(m: BinaryMatrix) -> str:
     for i in range(m.rows):
         lines.append(" ".join(str(b) for b in m.row(i)))
     return "\n".join(lines) + "\n"
+
+
+def from_text(text: str) -> BinaryMatrix:
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty matrix text")
+    header = lines[0].split()
+    if len(header) != 2 or not all(_DECIMAL.fullmatch(tok) for tok in header):
+        raise ValueError(f"bad header line {lines[0]!r}, expected 'rows cols'")
+    rows, cols = int(header[0]), int(header[1])
+    data = lines[1:]
+    if cols == 0 and not data:
+        # rows of zero columns are written as empty lines, skipped above
+        return BinaryMatrix.zeros(rows, 0)
+    if len(data) != rows:
+        raise ValueError(f"expected {rows} data lines, found {len(data)}")
+    packed = []
+    for i, ln in enumerate(data):
+        tokens = ln.split()
+        bits = "".join(tokens)
+        if len(tokens) != cols or len(bits) != cols or bits.strip("01"):
+            raise ValueError(f"row {i} is not {cols} tokens each 0 or 1: {ln[:60]!r}")
+        packed.append(int(bits[::-1], 2))
+    return BinaryMatrix(rows, cols, tuple(packed))
 
 
 def transpose(m: BinaryMatrix) -> BinaryMatrix:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 
 import gf2_oracle
 from test_gf2 import matrices
-from paleylift import graphs
+from paleylift import css, graphs
 from paleylift.cli import _matrix_to_alist, main
 from paleylift.gf2 import BinaryMatrix
 
@@ -198,6 +199,21 @@ def test_full_pipeline_lift(tmp_path):
     assert sorted(manifest["outputs"]) == sorted(
         str(bundle / name) for name in ("code.json", "dz_witness.json", "dx_witness.json"))
     assert run("verify", bundle) == 0
+
+
+def test_distance_manifest_records_work_counters(tmp_path):
+    lift_dir, bundle = tmp_path / "lift3", tmp_path / "bundle60"
+    assert run("lift", 3, "--out", lift_dir) == 0
+    assert run("code", lift_dir / "graph.json",
+               "--rotation", lift_dir / "rotation.json", "--out", bundle) == 0
+    assert run("distance", bundle, "--max-weight", 3) == 0
+    report = css.distance_search(css.read_bundle(bundle), 3)
+    counters = json.loads((bundle / "manifest.json").read_text())["counters"]
+    assert counters == {"dz": dataclasses.asdict(report.dz_counters),
+                        "dx": dataclasses.asdict(report.dx_counters)}
+    assert sorted(counters["dz"]) == ["levels", "membership", "narrowed", "offers",
+                                      "roots"]
+    assert counters["dz"]["roots"] > 0 and counters["dx"]["membership"] > 0
 
 
 def test_code_requires_exactly_one_mode(tmp_path):

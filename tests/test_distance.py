@@ -1,13 +1,14 @@
-"""The systole engine in `css.distance_search` against the brute-force and
-all-roots oracles in distance_oracle.py."""
+"""The systole engine in `css.distance_search` against the brute-force,
+all-roots and min-row oracles in distance_oracle.py."""
 import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from distance_oracle import all_roots_distance, brute_force_distance
+from distance_oracle import all_roots_distance, brute_force_distance, min_row_distance
 from paleylift import fields, paley, voltage
 from paleylift.css import (
+    SearchCounters,
     build_code_embedding,
     distance_search,
     family_parameters,
@@ -137,6 +138,75 @@ def test_engine_matches_all_roots_oracle(large_codes, name, w):
     # gives the report of the BFS from every row, witnesses included
     code = large_codes[name]
     assert distance_search(code, w) == all_roots_distance(code, w)
+
+
+@pytest.mark.parametrize("w", [2, 3])
+@pytest.mark.parametrize("name", ["paley49", "paley73", "paley81", "paley89",
+                                  "paley97", "lift5"])
+def test_engine_matches_min_row_oracle(large_codes, name, w):
+    # the incumbent bound drops no candidate that the search to w_max from
+    # every root would keep
+    code = large_codes[name]
+    assert distance_search(code, w) == min_row_distance(code, w)
+
+
+def test_paley97_work_counters(large_codes):
+    # exact, as the search is deterministic.  At w = 2 no witness exists, so
+    # no root is narrowed, and the simple graphs offer no 2-cycles.  At w = 3
+    # root 0 finds the witness, holding column 0, and every later root is
+    # searched to w = 2.  The code is self-dual, so both sides count alike.
+    code = large_codes["paley97"]
+    w2, w3 = distance_search(code, 2), distance_search(code, 3)
+    counters = SearchCounters(roots=97, narrowed=0, levels=97, offers=0, membership=0)
+    assert (w2.dz_counters, w2.dx_counters) == (counters, counters)
+    counters = SearchCounters(roots=97, narrowed=96, levels=97, offers=552, membership=1)
+    assert (w3.dz_counters, w3.dx_counters) == (counters, counters)
+    assert 0 in w3.dz_witness and 0 in w3.dx_witness
+
+
+def test_bfs_stops_at_an_empty_frontier(codes):
+    # a w_max far above the graph's depth costs no more BFS levels than
+    # there are rows, from every root
+    code = codes["paley9"]
+    report = distance_search(code, 10**6)
+    assert report.d_found == 3
+    for counters, h in ((report.dz_counters, code.hx), (report.dx_counters, code.hz)):
+        assert 0 < counters.roots <= h.rows
+        assert counters.levels <= counters.roots * h.rows
+
+
+def _permuted(code, columns, hx_rows, hz_rows):
+    """code with column j moved to columns[j] in both matrices, and the rows
+    of each matrix reordered."""
+    def permute(h, rows):
+        return BinaryMatrix.from_rows(
+            [[h.entry(i, j) for j in sorted(range(h.cols), key=columns.__getitem__)]
+             for i in rows], h.cols)
+    return dataclasses.replace(code, hx=permute(code.hx, hx_rows),
+                               hz=permute(code.hz, hz_rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(),
+       name=st.sampled_from(["paley9", "paley17", "paley25", "lift3", "lift4"]),
+       w=st.sampled_from([3, 4]))
+def test_engine_matches_min_row_oracle_on_permuted_codes(codes, data, name, w):
+    # relabelling columns moves the incumbent's lowest column against
+    # lowest[root], so the tie between candidates of equal weight is met
+    # at every position
+    code = codes[name]
+    code = _permuted(code, data.draw(st.permutations(range(code.n))),
+                     data.draw(st.permutations(range(code.hx.rows))),
+                     data.draw(st.permutations(range(code.hz.rows))))
+    engine, oracle = distance_search(code, w), min_row_distance(code, w)
+    assert (engine.d_found, engine.d_lower) == (oracle.d_found, oracle.d_lower)
+    for side, got, want in (("Z", engine.dz_witness, oracle.dz_witness),
+                            ("X", engine.dx_witness, oracle.dx_witness)):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert len(got) == len(want)
+            assert got == want or len(got) > 3
+            assert verify_witness(code, side, got)
 
 
 @st.composite

@@ -214,6 +214,64 @@ def test_text_rejects_non_decimal_header(header):
         BinaryMatrix.from_text(f"{header}\n1 0 1\n")
 
 
+GAPS = ["  ", "\t", "\u2003", "\x0c", "_", ""]      # in place of one " "
+ENTRIES = ["01", "+1", "2", "1_0_1", "0 1", ""]      # in place of one digit
+BLANKS = ["", " ", "\t", "\u2003"]
+
+
+@st.composite
+def perturbed_texts(draw):
+    """to_text of a small matrix with a few rows, blank lines and line ends
+    changed: some still parse, by the token rule, and some do not."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 6))
+    m = BinaryMatrix.from_bitmasks(
+        draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows)),
+        cols)
+    lines = m.to_text().splitlines()
+    for i in draw(st.lists(st.integers(1, max(rows, 1)), max_size=3)):
+        if i >= len(lines):
+            continue
+        ln = lines[i]
+        gaps = [p for p, ch in enumerate(ln) if ch == " "]
+        digits = [p for p, ch in enumerate(ln) if ch in "01"]
+        kind = draw(st.sampled_from(["gap", "edge", "entry", "underscores", "width"]))
+        if kind == "gap" and gaps:
+            p = draw(st.sampled_from(gaps))
+            ln = ln[:p] + draw(st.sampled_from(GAPS)) + ln[p + 1:]
+        elif kind == "edge":
+            blank = draw(st.sampled_from(BLANKS[1:]))
+            ln = blank + ln if draw(st.booleans()) else ln + blank
+        elif kind == "entry" and digits:
+            p = draw(st.sampled_from(digits))
+            ln = ln[:p] + draw(st.sampled_from(ENTRIES)) + ln[p + 1:]
+        elif kind == "underscores":
+            ln = ln.replace(" ", "_")
+        elif kind == "width":
+            ln = ln[:-2] if draw(st.booleans()) else ln + " 1"
+        lines[i] = ln
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BLANKS)))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + end
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=perturbed_texts())
+@example(text="2 3\n1_0_1\n0 1 1\n")
+@example(text="1 1\n1\n")
+@example(text="2 0\n\n\n")
+@example(text="1 0\n1\n")
+def test_from_text_matches_token_oracle(text):
+    assert _parsed(BinaryMatrix.from_text, text) == _parsed(gf2_oracle.from_text, text)
+
+
 def test_row_space_membership():
     m = BinaryMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
     space = RowSpace(m)
