@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 
 from . import css, embedding, fields, graphs, paley, voltage
-from .gf2 import BinaryMatrix, multiply, rank
+from .gf2 import BinaryMatrix
 from .graphs import SearchBudgetExceeded
 
 EXIT_OK = 0
@@ -127,10 +127,12 @@ def _write_builder_outputs(args: argparse.Namespace, argv: list[str],
 
 
 def cmd_lift(args: argparse.Namespace, argv: list[str]) -> int:
-    if args.t < 3:
-        return _usage_error(f"t must be at least 3, got {args.t}")
     t0 = time.perf_counter()
-    rotation = voltage.derived_embedding(voltage.build_voltage_graph(args.t))
+    try:
+        base = voltage.build_voltage_graph(args.t)
+    except ValueError as exc:
+        return _usage_error(str(exc))
+    rotation = voltage.derived_embedding(base)
     lifted = rotation.graph
     block = voltage.block_adjacency(args.t)
     timings = {"build": time.perf_counter() - t0}
@@ -284,15 +286,17 @@ def cmd_verify(args: argparse.Namespace, argv: list[str]) -> int:
         return EXIT_VERIFICATION
     failures = []
 
-    def check(name: str, ok: bool) -> None:
-        print(f"  {'PASS' if ok else 'FAIL'}  {name}")
+    def check(name: str, ok: bool, why: str = "") -> None:
+        print(f"  {'PASS' if ok else 'FAIL'}  {name}{': ' + why if why else ''}")
         if not ok:
             failures.append(name)
 
-    check("css condition hx hz^T = 0",
-          multiply(code.hx, code.hz.transpose()).is_zero())
-    check("k = n - rank(hx) - rank(hz)",
-          code.k == code.n - rank(code.hx) - rank(code.hz))
+    try:
+        beta1, why = embedding.homology_ranks(code.hx, code.hz).beta1, ""
+    except ValueError as exc:
+        beta1, why = None, str(exc)
+    check("css condition hx hz^T = 0", not why, why)
+    check("k = n - rank(hx) - rank(hz)", code.k == beta1)
     if code.genus is not None:
         check("k = 2 * genus", code.k == 2 * code.genus)
     if code.d_found is not None:

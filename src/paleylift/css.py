@@ -10,9 +10,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .gf2 import BinaryMatrix, RowSpace, multiply, rank
+from .gf2 import BinaryMatrix, RowSpace
 from .graphs import Graph, incidence_matrix
-from .embedding import RotationSystem, face_edge_matrix, trace_faces
+from .embedding import RotationSystem, face_edge_matrix, homology_ranks, trace_faces
 
 DEFAULT_ENUMERATION_BUDGET = 10**9
 
@@ -38,17 +38,18 @@ def build_code_embedding(
     family: str = "custom",
     kprime: Optional[int] = None,
 ) -> CssCode:
-    """Surface code of an embedded graph: H_X from vertices, H_Z from faces."""
+    """Surface code of an embedded graph: H_X from vertices, H_Z from faces,
+    k = beta1 of homology_ranks; a CSS failure is a face-tracing bug."""
     if rotation.graph != graph:
         raise ValueError("rotation system belongs to a different graph")
     hx = incidence_matrix(graph)
     faces = trace_faces(rotation)
     hz = face_edge_matrix(faces)
-    if not multiply(hx, hz.transpose()).is_zero():
-        raise AssertionError("vertex and face incidences fail the CSS condition; "
-                             "face tracing bug")
+    try:
+        k = homology_ranks(hx, hz).beta1
+    except ValueError as exc:
+        raise AssertionError(f"face tracing bug: {exc}") from exc
     n = graph.edge_count
-    k = n - rank(hx) - rank(hz)
     if k != 2 * faces.genus:
         raise AssertionError(
             f"logical count {k} disagrees with 2*genus = {2 * faces.genus}"

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-MAX_FIELD_SIZE = 1 << 20
+from .graphs import require_vertex_count
 
 
 class FieldConstructionError(ValueError):
@@ -291,12 +291,14 @@ def make_field(p: int, r: int, modulus: tuple[int, ...] | None = None) -> PrimeP
     When modulus is omitted the lexicographically smallest monic irreducible
     of degree r is used (coefficients compared from the constant term up).
     """
+    try:
+        require_vertex_count(p, r)   # the field's elements are a Paley graph's vertices
+    except ValueError as exc:
+        raise FieldConstructionError(f"GF({p}^{r}): {exc}") from None
     if not _is_prime(p):
         raise FieldConstructionError(f"{p} is not prime")
     if r < 1:
         raise FieldConstructionError(f"exponent must be positive, got {r}")
-    if p ** r > MAX_FIELD_SIZE:
-        raise FieldConstructionError(f"field order {p}^{r} exceeds supported size {MAX_FIELD_SIZE}")
     if modulus is not None:
         modulus = _poly_trim(tuple(c % p for c in modulus))
         if len(modulus) != r + 1 or modulus[-1] != 1:

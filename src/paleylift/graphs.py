@@ -18,6 +18,20 @@ from .gf2 import BinaryMatrix
 
 DEFAULT_NODE_BUDGET = 10**8
 
+# The largest graph the builders construct: the lift at t = 9 and every
+# Paley graph up to q = 1009.  Its neighbour masks take n^2 bits, and both
+# families have about n^2 / 4 edges, the columns of their codes.
+MAX_VERTICES = 1 << 10
+
+
+def require_vertex_count(base: int, exponent: int) -> None:
+    """Raise ValueError if a graph on base^exponent vertices exceeds
+    MAX_VERTICES, without computing a large power."""
+    if base > 1 and (exponent >= MAX_VERTICES.bit_length()
+                     or base ** exponent > MAX_VERTICES):
+        raise ValueError(f"{base}^{exponent} vertices exceeds the limit of "
+                         f"{MAX_VERTICES}")
+
 
 class SearchBudgetExceeded(RuntimeError):
     """A bounded search ran out of nodes; the question is undecided."""

@@ -10,54 +10,19 @@ from dataclasses import dataclass
 
 from .embedding import RotationSystem
 from .gf2 import BinaryMatrix
-from .graphs import Graph
-
-
-def _weight(x: int) -> int:
-    return bin(x).count("1")
-
-
-@dataclass(frozen=True)
-class VoltageVector:
-    """A vector of Z_2^t with its class label and rank within the class."""
-
-    value: int
-    t: int
-    leading_bit: int
-    tail_even: bool
-    ordinal: int  # 1-based, ordered by numeric value within the class
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.value >> (self.t - 1 - i)) & 1 for i in range(self.t))
-
-    @property
-    def label(self) -> str:
-        parity = "e" if self.tail_even else "s"
-        return f"{self.leading_bit}{parity}{self.ordinal}"
-
-
-def classify_vectors(t: int) -> list[VoltageVector]:
-    """All 2^t vectors, each tagged with its class; t >= 2 gives four classes
-    of size 2^(t-2)."""
-    if t < 2:
-        raise ValueError(f"need t >= 2 to form four classes, got {t}")
-    counters: dict[tuple[int, bool], int] = {}
-    out = []
-    for value in range(1 << t):
-        leading = value >> (t - 1)
-        tail = value & ((1 << (t - 1)) - 1)
-        tail_even = _weight(tail) % 2 == 0
-        key = (leading, tail_even)
-        counters[key] = counters.get(key, 0) + 1
-        out.append(VoltageVector(value=value, t=t, leading_bit=leading,
-                                 tail_even=tail_even, ordinal=counters[key]))
-    return out
+from .graphs import Graph, require_vertex_count
 
 
 def class_members(t: int, leading_bit: int, tail_even: bool) -> list[int]:
-    return [v.value for v in classify_vectors(t)
-            if v.leading_bit == leading_bit and v.tail_even == tail_even]
+    """The vectors of Z_2^t, ascending, with the given leading bit and whose
+    other t-1 bits have even weight iff tail_even; t >= 2 gives four classes
+    of size 2^(t-2)."""
+    if t < 2:
+        raise ValueError(f"need t >= 2 to form four classes, got {t}")
+    tail_mask = (1 << (t - 1)) - 1
+    return [a for a in range(1 << t)
+            if a >> (t - 1) == leading_bit
+            and ((a & tail_mask).bit_count() % 2 == 0) == tail_even]
 
 
 @dataclass(frozen=True)
@@ -85,6 +50,7 @@ def build_voltage_graph(t: int) -> VoltageGraph:
     even-tail vectors except zero."""
     if t < 3:
         raise ValueError(f"the construction requires t >= 3, got {t}")
+    require_vertex_count(2, t + 1)
     links = tuple(sorted(class_members(t, 0, False) + class_members(t, 1, True)))
     half_v = tuple(sorted(class_members(t, 0, False) + class_members(t, 1, False)))
     half_u = tuple(sorted([a for a in class_members(t, 0, True) if a != 0]
@@ -156,6 +122,7 @@ def block_adjacency(t: int) -> BinaryMatrix:
     """
     if t < 3:
         raise ValueError(f"the construction requires t >= 3, got {t}")
+    require_vertex_count(2, t + 1)
     import numpy as np   # only here: importing it is most of the CLI's start-up
 
     ident = np.eye(2, dtype=np.int64)

@@ -69,26 +69,32 @@ def test_manifest_digests(tmp_path):
         assert actual == digest
 
 
-# sha256 of each builder's artifacts; under --format alist the same files
-# plus adjacency.alist
-PALEY9_DIGESTS = {
-    "graph.json": "8d89fe4c2063227347aa7831b2de0ca2888874e43395092df599f84e1f3ef341",
-    "adjacency.txt": "d2810e45a44272d47625041fc1cd4f80d82745e206dbc306926cbf6eeb30dd75",
-}
-LIFT3_DIGESTS = {
-    "graph.json": "13d45b341c47670b6dd5fd7f5231f70e2b8e0bbe41eaaf0ab310a2fa66c35bfc",
-    "rotation.json": "28b812c2001758c5ced9d347a2682ab6ac2ab51f6daf6f313d7d4b86e4002337",
-    "adjacency.txt": "744a5ddc1548eee1bbc55e95d9092992086b5f093d524e643e15b0ccb67f44eb",
-}
+def read_golden_digests():
+    """data/golden.sha256, in sha256sum format, as {directory: {file: sha256}}:
+    the builders' artifacts and the witnesses of the README's two bundles."""
+    golden = {}
+    for line in (DATA / "golden.sha256").read_text().splitlines():
+        digest, rel = line.split()
+        directory, name = rel.split("/")
+        golden.setdefault(directory, {})[name] = digest
+    return golden
+
+
+GOLDEN = read_golden_digests()
+PALEY9 = ("paley", 3, 2, "--modulus", "2,1,1")
+
+
+def _without_alist(digests):
+    return {name: d for name, d in digests.items() if name != "adjacency.alist"}
+
+
+# each builder's artifacts; under --format alist the same files plus
+# adjacency.alist
 BUILDER_DIGESTS = [
-    (("paley", 3, 2, "--modulus", "2,1,1"), PALEY9_DIGESTS),
-    (("paley", 3, 2, "--modulus", "2,1,1", "--format", "alist"), {
-        **PALEY9_DIGESTS,
-        "adjacency.alist": "6bcef4da3b0f479e49509b0a9e80380f5f8a7f3c4fac61568a13f3797c29e4ec"}),
-    (("lift", 3), LIFT3_DIGESTS),
-    (("lift", 3, "--format", "alist"), {
-        **LIFT3_DIGESTS,
-        "adjacency.alist": "56027ad603317acf1b2a69f3bf84b0275474b5d3bcb0c7a1d34d622828857eef"}),
+    (PALEY9, _without_alist(GOLDEN["paley9"])),
+    (PALEY9 + ("--format", "alist"), GOLDEN["paley9"]),
+    (("lift", 3), _without_alist(GOLDEN["lift3"])),
+    (("lift", 3, "--format", "alist"), GOLDEN["lift3"]),
 ]
 
 
@@ -128,23 +134,40 @@ def test_import_and_paley_leave_numpy_unloaded(tmp_path):
 
 
 GOLDEN_BUILDS = {
+    "paley9": PALEY9 + ("--format", "alist"), "lift3": ("lift", 3, "--format", "alist"),
     "paley257": ("paley", 257, 1), "paley289": ("paley", 17, 2),
-    "paley521": ("paley", 521, 1), "paley529": ("paley", 23, 2),
+    "paley521": ("paley", 521, 1), "paley529": ("paley", 23, 2, "--format", "alist"),
     "lift5": ("lift", 5), "lift6": ("lift", 6),
 }
 
 
+def _check_golden(root, directory):
+    for name, digest in GOLDEN[directory].items():
+        assert hashlib.sha256((root / directory / name).read_bytes()).hexdigest() == digest, \
+            (directory, name)
+
+
 def test_builder_outputs_match_golden_digests(tmp_path):
-    """data/graph_digests.txt holds the sha256 of the builders' artifacts
-    (default moduli) as the set-based graph layer wrote them; the bitmask
-    graphs must reproduce them byte for byte."""
+    """The builders (default moduli unless given) and distance on the README's
+    [[18,2,3]] and [[60,30,3]] bundles reproduce every file of
+    data/golden.sha256 byte for byte."""
     for name, argv in GOLDEN_BUILDS.items():
         assert run(*argv, "--out", tmp_path / name) == 0
-    lines = (DATA / "graph_digests.txt").read_text().splitlines()
-    assert {line.split()[1].split("/")[0] for line in lines} == set(GOLDEN_BUILDS)
-    for line in lines:
-        digest, rel = line.split()
-        assert hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest() == digest, rel
+    rot18 = tmp_path / "paley9_rotation.json"
+    assert run("embed-search", tmp_path / "paley9" / "graph.json", "--genus", 1,
+               "--out", rot18) == 0
+    for bundle, graph_dir, rotation, family, kprime in (
+            ("code18", "paley9", rot18, "paley", 0),
+            ("code60", "lift3", tmp_path / "lift3" / "rotation.json", "voltage", 1)):
+        assert run("code", tmp_path / graph_dir / "graph.json", "--rotation", rotation,
+                   "--family", family, "--kprime", kprime, "--out", tmp_path / bundle) == 0
+        assert run("distance", tmp_path / bundle, "--max-weight", 3) == 0
+    assert set(GOLDEN) == set(GOLDEN_BUILDS) | {"code18", "code60"}
+    for directory in GOLDEN:
+        _check_golden(tmp_path, directory)
+    # w_max above d: the search bound falls to the incumbent witness's weight
+    assert run("distance", tmp_path / "code60", "--max-weight", 5) == 0
+    _check_golden(tmp_path, "code60")
 
 
 def test_code_bundles_byte_identical(tmp_path):
@@ -237,6 +260,52 @@ def test_verify_flags_corruption(tmp_path):
     lines[1] = " ".join(row)
     (bundle / "hz.txt").write_text("\n".join(lines) + "\n")
     assert run("verify", bundle) == 1
+
+
+def test_verify_names_the_css_row_pair(lift3_workdir, tmp_path, capsys):
+    """One flipped bit of hz fails the CSS condition, which names the first
+    row pair that overlaps oddly, and with it the k line."""
+    bundle = tmp_path / "bundle"
+    shutil.copytree(lift3_workdir / "bundle", bundle)
+    (bundle / "hz.txt").write_text(_flip_first_bit((bundle / "hz.txt").read_text()))
+    capsys.readouterr()
+    assert run("verify", bundle) == 1
+    lines = capsys.readouterr().out.splitlines()
+    # column 0 is the edge at vertex 0 with the lowest other end
+    assert ("  FAIL  css condition hx hz^T = 0: hx hz^T != 0: "
+            "row 0 of hx and row 0 of hz overlap oddly") in lines
+    assert "  FAIL  k = n - rank(hx) - rank(hz)" in lines
+
+
+def test_builders_refuse_graphs_over_the_vertex_limit(tmp_path):
+    """Sizes past graphs.MAX_VERTICES exit 2 before any field, table or
+    graph is built.  The child caps its own address space, so a missing
+    check fails the test instead of exhausting memory."""
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+              "from paleylift.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv in (("lift", "64"), ("paley", "3", "12"), ("lift", "10"), ("paley", "1033", "1")):
+        result = subprocess.run(
+            [sys.executable, "-c", script, *argv, "--out", str(tmp_path / "x")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 2, (argv, result.stderr)
+        assert "exceeds the limit of 1024" in result.stderr, argv
+    assert not (tmp_path / "x").exists()
+
+
+def test_vertex_limit_boundary():
+    """The ladder's top, the lift at t = 9 with 1024 vertices, and Paley-1009
+    fit; one vertex more does not."""
+    assert graphs.MAX_VERTICES == 1024
+    graphs.require_vertex_count(2, 10)
+    graphs.require_vertex_count(1009, 1)
+    for base, exponent in ((1025, 1), (2, 11), (3, 7), (2, 10**18)):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            graphs.require_vertex_count(base, exponent)
 
 
 def test_verify_empty_bundle_usage_error(tmp_path):

@@ -1,6 +1,6 @@
 import pytest
 
-from paleylift import gf2
+from paleylift import css, embedding, gf2
 from paleylift.css import (
     CssCode,
     apply_distance_report,
@@ -54,6 +54,18 @@ def test_embedding_code_c4_trivial():
 def test_embedding_rejects_wrong_graph(paley9, paley9_rotation):
     with pytest.raises(ValueError, match="different graph"):
         build_code_embedding(cycle_graph(4), paley9_rotation)
+
+
+def test_embedding_css_fault_is_an_assertion(paley9, paley9_rotation, monkeypatch):
+    """A face matrix that fails hx hz^T = 0 is a face-tracing bug, never a
+    ValueError (which the CLI reports as a usage error)."""
+    def flipped(faces):
+        hz = embedding.face_edge_matrix(faces)
+        return gf2.BinaryMatrix(hz.rows, hz.cols, (hz.row_bits[0] ^ 1,) + hz.row_bits[1:])
+
+    monkeypatch.setattr(css, "face_edge_matrix", flipped)
+    with pytest.raises(AssertionError, match="row 0 of hx and row 0 of hz overlap oddly"):
+        build_code_embedding(paley9.graph, paley9_rotation)
 
 
 # -- distance ---------------------------------------------------------------------

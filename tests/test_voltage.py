@@ -6,7 +6,6 @@ from paleylift.voltage import (
     block_adjacency,
     build_voltage_graph,
     class_members,
-    classify_vectors,
     derived_embedding,
     lift,
 )
@@ -29,22 +28,19 @@ def test_classify_t4_even_class():
     assert class_members(4, 0, True) == [0b0000, 0b0011, 0b0101, 0b0110]
 
 
-def test_classify_class_sizes_and_ordinals():
+def test_classify_class_sizes_and_order():
     for t in (2, 3, 4, 5):
-        table = classify_vectors(t)
-        assert len(table) == 1 << t
-        for leading in (0, 1):
-            for even in (True, False):
-                members = [v for v in table
-                           if v.leading_bit == leading and v.tail_even == even]
-                assert len(members) == 1 << (t - 2)
-                assert [v.value for v in members] == sorted(v.value for v in members)
-                assert [v.ordinal for v in members] == list(range(1, len(members) + 1))
+        classes = [class_members(t, leading, even)
+                   for leading in (0, 1) for even in (True, False)]
+        assert sorted(a for members in classes for a in members) == list(range(1 << t))
+        for members in classes:
+            assert len(members) == 1 << (t - 2)
+            assert members == sorted(members)
 
 
 def test_classify_rejects_small_t():
     with pytest.raises(ValueError):
-        classify_vectors(1)
+        class_members(1, 0, True)
 
 
 def test_build_t3_voltages():
