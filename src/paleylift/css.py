@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .gf2 import BinaryMatrix, RowSpace
+from .gf2 import BinaryMatrix
 from .graphs import Graph, incidence_matrix
 from .embedding import RotationSystem, face_edge_matrix, homology_ranks, trace_faces
 
@@ -88,26 +88,32 @@ class DistanceReport:
     dx_counters: SearchCounters = field(default_factory=SearchCounters, compare=False)
 
 
-def _cycle_graph(h: BinaryMatrix,
-                 name: str) -> tuple[list[list[tuple[int, int]]], list[int]]:
+def _cycle_graph(h: BinaryMatrix, name: str) -> tuple[
+        list[list[tuple[int, int]]], list[int], list[tuple[int, int]]]:
     """The graph whose vertices are the rows of h and whose edges are its
-    columns: adjacency lists of (neighbour, column), and the loops (columns
-    of weight 0).  ker(h) is then the graph's cycle space.  A column of
-    weight 2 joins its lowest and highest set rows."""
+    columns: adjacency lists of (neighbour, column), the loops (columns of
+    weight 0), and the parallel edges, (i, j) for each column j equal to an
+    earlier one, i the lowest column equal to it.  ker(h) is then the
+    graph's cycle space.  A column of weight 2 joins its lowest and highest
+    set rows."""
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(h.rows)]
-    loops = []
+    loops, parallel = [], []
+    first: dict[int, int] = {}   # column value -> its lowest column index
     for j, column in enumerate(h.transpose().row_bits):
         weight = column.bit_count()
         if weight == 2:
             u, v = (column & -column).bit_length() - 1, column.bit_length() - 1
             adjacency[u].append((v, j))
             adjacency[v].append((u, j))
+            i = first.setdefault(column, j)
+            if i != j:
+                parallel.append((i, j))
         elif not weight:
             loops.append(j)
         else:
             raise ValueError(f"{name} column {j} has weight {weight}; the distance "
                              f"engine needs a surface code (column weights 0 or 2)")
-    return adjacency, loops
+    return adjacency, loops, parallel
 
 
 def _systole_side(
@@ -121,7 +127,14 @@ def _systole_side(
     support) candidate below; and the search's work counters.
 
     Every column of kernel_of has weight 0 or 2, so the kernel is the cycle
-    space of _cycle_graph(kernel_of).  The cycles outside a subspace satisfy
+    space of _cycle_graph(kernel_of).  Its vectors of weight <= 2 are
+    decided from the columns: with kernel_of z = 0 and |z| <= 2, z is one
+    zero column (a loop) or two equal columns (parallel edges).  Each loop
+    is offered, and each parallel edge j with the lowest column i equal to
+    it, as i + j.  That covers every pair: if a + b (i < a < b) is outside
+    rowspace(modulo), so is i + a or i + b, whose sum it is, and both come
+    before a + b in sorted-support order.  Only weights >= 3 need the BFS
+    below.  The cycles outside a subspace satisfy
     Thomassen's 3-path condition (Thomassen, JCTB 48, 1990): a shortest one,
     C, is the sum of the fundamental cycles of its non-tree edges in a BFS
     tree rooted on C, so one of those is outside the subspace too, and each
@@ -132,7 +145,8 @@ def _systole_side(
     every root, path(x) ^ path(y) ^ e for every non-tree edge e = xy of the
     BFS ball of radius w // 2 in the rows >= root with depth(x) + depth(y)
     + 1 <= w.  Row-space membership is still tested in the whole of
-    rowspace(modulo).  The BFS stops early when its frontier runs empty.
+    rowspace(modulo), eliminated at the first test.  The BFS stops early
+    when its frontier runs empty.
 
     The bound w of each root is set by the incumbent witness, the best
     vector held when the root's search starts.  A candidate from root uses
@@ -145,19 +159,20 @@ def _systole_side(
     the next, since the incumbent's weight only falls, a new incumbent of
     equal weight has a lowest column no higher than the old one's, and
     lowest[] is nondecreasing; so the search ends at the first root with w
-    < 2, where a root has no candidates (loops are offered first).  The
-    bound loses no shortest logical C: at its lowest row, w >= len(C)
-    unless the incumbent already weighs len(C).
+    < 3, as every candidate of weight <= 2 came from the columns.  With
+    w_max <= 2 no root is searched.  The bound loses no shortest logical C
+    of weight >= 3: at its lowest row, w >= len(C) unless the incumbent
+    already weighs len(C).
 
     At weight <= 3 the result is also the smallest (weight, sorted support)
-    of all such vectors: a smaller one would swap in the lowest of a set of
-    parallel edges, and BFS from its lowest row takes that one into the
-    tree.  That row is searched to at least its weight, as the smallest
-    vector cannot come after the incumbent.  Above weight 3 the result is a
-    minimum-weight one.
+    of all such vectors.  At weight <= 2 every candidate is offered, and at
+    weight 3 a smaller one would swap in the lowest of a set of parallel
+    edges, and BFS from its lowest row takes that one into the tree.  That
+    row is searched to at least its weight, as the smallest vector cannot
+    come after the incumbent.  Above weight 3 the result is a minimum-weight
+    one.
     """
-    adjacency, loops = _cycle_graph(kernel_of, name)
-    quotient = RowSpace(modulo)
+    adjacency, loops, parallel = _cycle_graph(kernel_of, name)
     # lowest[r]: the lowest column joining two rows >= r (cols if none)
     lowest = [kernel_of.cols] * (len(adjacency) + 1)
     for u in range(len(adjacency) - 1, -1, -1):
@@ -178,15 +193,17 @@ def _systole_side(
             if not v & differ & -differ:
                 return
         membership += 1
-        if not quotient.contains(v):
+        if not modulo.row_space.contains(v):
             best_weight, best = weight, v
 
     for j in loops:
         offer(1 << j)
+    for i, j in parallel:
+        offer(1 << i | 1 << j)
     for root in range(len(adjacency)):
         narrow = best != 0 and lowest[root] > (best & -best).bit_length() - 1
         w = best_weight - narrow
-        if w < 2:
+        if w < 3:
             break
         roots += 1
         narrowed += narrow
@@ -266,7 +283,7 @@ def verify_witness(code: CssCode, side: str, support: tuple[int, ...]) -> bool:
     for row in kernel_of.row_bits:
         if (row & v).bit_count() % 2:
             return False
-    return not RowSpace(modulo).contains(v)
+    return not modulo.row_space.contains(v)
 
 
 def apply_distance_report(code: CssCode, report: DistanceReport) -> None:

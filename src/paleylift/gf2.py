@@ -2,12 +2,14 @@
 
 Rows are stored as Python integers (bit j = column j), so row elimination
 is a single word-level XOR regardless of width.  All functions are pure;
-matrices are immutable after construction.
+matrices are immutable after construction, and each keeps its row space
+once one is asked for.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 # A header count as to_text writes it: no sign, no "_", no leading zero.
@@ -111,6 +113,12 @@ class BinaryMatrix:
                 r ^= low
         return BinaryMatrix(self.cols, self.rows, tuple(columns))
 
+    @cached_property
+    def row_space(self) -> "RowSpace":
+        """The row space, eliminated at its first use and then kept with the
+        matrix, so each matrix is reduced at most once."""
+        return RowSpace(self)
+
     def row_weight(self, i: int) -> int:
         return self.row_bits[i].bit_count()
 
@@ -180,41 +188,44 @@ class StandardFormResult:
     pivot_columns: tuple[int, ...]
 
 
-def _eliminate(row_bits: Sequence[int], cols: int) -> tuple[list[int], list[int]]:
-    """Gauss-Jordan over GF(2).
+def _eliminate(row_bits: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Gauss-Jordan over GF(2) to the reduced row echelon form, the pivot
+    of a row being its lowest set bit.  Returns (reduced rows, pivot column
+    list): the nonzero rows in ascending pivot order, then one zero row per
+    dependent input row; each pivot column is clear in every other row.
 
-    Pivot rule: leftmost available column, topmost available row.  Returns
-    (reduced rows, pivot column list); reduced rows above and below each
-    pivot are cleared.
+    Each row is XOR-ed with the pivot row of its lowest set bit, looked up
+    in a dict, until it is zero or its lowest bit is a new pivot.  Then, in
+    descending pivot order, each pivot row is cleared at the pivots above
+    its own, whose rows are final by then.  The form is unique, so the
+    result does not depend on the order of the rows.
     """
-    work = list(row_bits)
-    nrows = len(work)
-    pivots: list[int] = []
-    pivot_row = 0
-    for col in range(cols):
-        bit = 1 << col
-        sel = -1
-        for r in range(pivot_row, nrows):
-            if work[r] & bit:
-                sel = r
+    by_pivot: dict[int, int] = {}
+    for r in row_bits:
+        while r:
+            p = (r & -r).bit_length() - 1
+            pivot_row = by_pivot.get(p)
+            if pivot_row is None:
+                by_pivot[p] = r
                 break
-        if sel < 0:
-            continue
-        work[pivot_row], work[sel] = work[sel], work[pivot_row]
-        for r in range(nrows):
-            if r != pivot_row and work[r] & bit:
-                work[r] ^= work[pivot_row]
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == nrows:
-            break
-    return work, pivots
+            r ^= pivot_row
+    pivots = sorted(by_pivot)
+    above = 0   # the pivots above p, whose rows are reduced
+    for p in reversed(pivots):
+        r = by_pivot[p]
+        hits = r & above
+        while hits:
+            low = hits & -hits
+            r ^= by_pivot[low.bit_length() - 1]
+            hits ^= low
+        by_pivot[p] = r
+        above |= 1 << p
+    return [by_pivot[p] for p in pivots] + [0] * (len(row_bits) - len(pivots)), pivots
 
 
 def rank(m: BinaryMatrix) -> int:
     """Dimension of the row space over GF(2)."""
-    _, pivots = _eliminate(m.row_bits, m.cols)
-    return len(pivots)
+    return m.row_space.rank
 
 
 def kernel_basis(m: BinaryMatrix) -> BinaryMatrix:
@@ -223,7 +234,7 @@ def kernel_basis(m: BinaryMatrix) -> BinaryMatrix:
     Free variables are enumerated in increasing column order, so the output
     is deterministic; row count is cols - rank.
     """
-    reduced, pivots = _eliminate(m.row_bits, m.cols)
+    reduced, pivots = _eliminate(m.row_bits)
     pivot_set = set(pivots)
     free_cols = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
@@ -242,7 +253,7 @@ def standard_form(m: BinaryMatrix) -> StandardFormResult:
     column_permutation maps new column position -> original column index
     (pivot columns first in pivot order, then the non-pivots ascending).
     """
-    reduced, pivots = _eliminate(m.row_bits, m.cols)
+    reduced, pivots = _eliminate(m.row_bits)
     pivot_set = set(pivots)
     perm = list(pivots) + [c for c in range(m.cols) if c not in pivot_set]
     permuted = []
@@ -278,10 +289,11 @@ def multiply(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
 
 
 class RowSpace:
-    """Reduced row basis supporting fast membership tests."""
+    """Reduced row basis supporting fast membership tests.  A matrix's own
+    is BinaryMatrix.row_space, built once per matrix."""
 
     def __init__(self, m: BinaryMatrix):
-        reduced, pivots = _eliminate(m.row_bits, m.cols)
+        reduced, pivots = _eliminate(m.row_bits)
         self.cols = m.cols
         self.pivots = pivots
         self._rows_by_pivot = {p: reduced[i] for i, p in enumerate(pivots)}

@@ -81,8 +81,13 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
         if matrix.transpose() != matrix:
             raise ValueError("neighbour masks are not symmetric")
+        return cls._of_masks(masks)
+
+    @classmethod
+    def _of_masks(cls, masks: tuple[int, ...]) -> "Graph":
+        """The graph of neighbour masks already known to be valid."""
         graph = cls.__new__(cls)
-        graph.vertex_count = n
+        graph.vertex_count = len(masks)
         graph.neighbours = masks
         return graph
 
@@ -169,9 +174,11 @@ def verify_isomorphism(source: Graph, target: Graph, mapping: tuple[int, ...]) -
 
 
 def complement(graph: Graph) -> Graph:
+    """The complement; its masks are symmetric and loop-free because the
+    graph's are, so they are not checked again."""
     full = (1 << graph.vertex_count) - 1
-    return Graph.from_neighbours(full & ~m & ~(1 << u)
-                                 for u, m in enumerate(graph.neighbours))
+    return Graph._of_masks(tuple(full & ~m & ~(1 << u)
+                                 for u, m in enumerate(graph.neighbours)))
 
 
 def find_isomorphism(

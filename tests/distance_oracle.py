@@ -56,7 +56,7 @@ def all_roots_side(
     name: str,
 ) -> Optional[tuple[int, ...]]:
     """`css._systole_side` with a BFS ball from every root over all rows."""
-    adjacency, loops = _cycle_graph(kernel_of, name)
+    adjacency, loops, _ = _cycle_graph(kernel_of, name)
     quotient = RowSpace(modulo)
     best_weight, best = w_max, 0
 
@@ -102,7 +102,7 @@ def min_row_side(
     name: str,
 ) -> Optional[tuple[int, ...]]:
     """`css._systole_side` with every root searched to w_max."""
-    adjacency, loops = _cycle_graph(kernel_of, name)
+    adjacency, loops, _ = _cycle_graph(kernel_of, name)
     quotient = RowSpace(modulo)
     best_weight, best = w_max, 0   # best == 0 until a witness is found
 

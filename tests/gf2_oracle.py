@@ -2,8 +2,11 @@
 each entry is read one at a time with shifts and masks, so they are slow but
 independent of the word-level string and set-bit kernels in `gf2` and
 `cli`.  The text reader splits every row into tokens, the path
-`BinaryMatrix.from_text` keeps for rows outside `to_text`'s exact layout."""
+`BinaryMatrix.from_text` keeps for rows outside `to_text`'s exact layout.
+`eliminate` is the column-scanning Gauss-Jordan that `gf2` used before its
+pivot-lookup kernel."""
 import re
+from typing import Sequence
 
 from paleylift.gf2 import BinaryMatrix
 
@@ -58,3 +61,34 @@ def to_alist(m: BinaryMatrix) -> str:
     lines += [" ".join(map(str, c)) for c in cols]
     lines += [" ".join(map(str, r)) for r in rows]
     return "\n".join(lines) + "\n"
+
+
+def eliminate(row_bits: Sequence[int], cols: int) -> tuple[list[int], list[int]]:
+    """Gauss-Jordan over GF(2).
+
+    Pivot rule: leftmost available column, topmost available row.  Returns
+    (reduced rows, pivot column list); reduced rows above and below each
+    pivot are cleared.
+    """
+    work = list(row_bits)
+    nrows = len(work)
+    pivots: list[int] = []
+    pivot_row = 0
+    for col in range(cols):
+        bit = 1 << col
+        sel = -1
+        for r in range(pivot_row, nrows):
+            if work[r] & bit:
+                sel = r
+                break
+        if sel < 0:
+            continue
+        work[pivot_row], work[sel] = work[sel], work[pivot_row]
+        for r in range(nrows):
+            if r != pivot_row and work[r] & bit:
+                work[r] ^= work[pivot_row]
+        pivots.append(col)
+        pivot_row += 1
+        if pivot_row == nrows:
+            break
+    return work, pivots

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 
 import gf2_oracle
 from test_gf2 import matrices
-from paleylift import css, graphs
+from paleylift import css, gf2, graphs
 from paleylift.cli import _matrix_to_alist, main
 from paleylift.gf2 import BinaryMatrix
 
@@ -237,6 +237,32 @@ def test_distance_manifest_records_work_counters(tmp_path):
     assert sorted(counters["dz"]) == ["levels", "membership", "narrowed", "offers",
                                       "roots"]
     assert counters["dz"]["roots"] > 0 and counters["dx"]["membership"] > 0
+
+
+def test_each_command_eliminates_each_matrix_at_most_once(tmp_path, monkeypatch):
+    """gf2._eliminate runs only for a rank or a membership test, and once per
+    matrix: code and verify take both ranks, and verify's witnesses reuse
+    them; distance settles w = 2 on the columns, and at w = 3 each side's
+    first membership test reduces the other side's matrix."""
+    calls = []
+    eliminate = gf2._eliminate
+    monkeypatch.setattr(gf2, "_eliminate",
+                        lambda rows: calls.append(rows) or eliminate(rows))
+
+    def eliminations(*argv):
+        calls.clear()
+        assert run(*argv) == 0
+        assert len(set(calls)) == len(calls)   # no matrix twice
+        return len(calls)
+
+    lift_dir, bundle = tmp_path / "lift3", tmp_path / "bundle60"
+    assert run("lift", 3, "--out", lift_dir) == 0
+    assert eliminations("code", lift_dir / "graph.json", "--rotation",
+                        lift_dir / "rotation.json", "--out", bundle) == 2
+    assert eliminations("distance", bundle, "--max-weight", 2) == 0
+    assert eliminations("distance", bundle, "--max-weight", 3) == 2
+    assert (bundle / "dz_witness.json").exists() and (bundle / "dx_witness.json").exists()
+    assert eliminations("verify", bundle) == 2
 
 
 def test_code_requires_exactly_one_mode(tmp_path):

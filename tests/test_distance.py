@@ -1,6 +1,7 @@
 """The systole engine in `css.distance_search` against the brute-force,
 all-roots and min-row oracles in distance_oracle.py."""
 import dataclasses
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,6 +122,25 @@ def test_engine_finds_weight_four_logicals_of_the_toric_code():
         assert verify_witness(code, side, got)
 
 
+def test_zero_columns_are_weight_one_logicals():
+    # K4 under each of its 16 rotation systems.  In 14 a face meets itself
+    # across an edge; that edge is a loop of the dual, a zero column of H_Z
+    # and so an X logical of weight 1.  The columns settle w <= 2: no BFS
+    # root is searched.
+    g = Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    darts = incident_darts(g)
+    weight_one = 0
+    for tails in itertools.product(*(itertools.permutations(d[1:]) for d in darts)):
+        rotation = RotationSystem(g, tuple((d[0],) + t for d, t in zip(darts, tails)))
+        code = build_code_embedding(g, rotation)
+        for w in (1, 2):
+            report = distance_search(code, w)
+            assert report == brute_force_distance(code, w)
+            assert report.dz_counters.roots == report.dx_counters.roots == 0
+        weight_one += report.d_found == 1
+    assert weight_one == 14
+
+
 @pytest.fixture(scope="module")
 def large_codes():
     built = {f"paley{q}": _paley_code(p, r)
@@ -151,15 +171,17 @@ def test_engine_matches_min_row_oracle(large_codes, name, w):
 
 
 def test_paley97_work_counters(large_codes):
-    # exact, as the search is deterministic.  At w = 2 no witness exists, so
-    # no root is narrowed, and the simple graphs offer no 2-cycles.  At w = 3
-    # root 0 finds the witness, holding column 0, and every later root is
-    # searched to w = 2.  The code is self-dual, so both sides count alike.
+    # exact, as the search is deterministic.  At w = 2 the column test
+    # decides: the simple graph and dual have no zero or equal columns, so
+    # nothing is offered and no root is searched.  At w = 3 root 0 finds the
+    # witness, holding column 0; root 1 would be narrowed to w = 2, which the
+    # columns have settled, so the search stops there.  The code is
+    # self-dual, so both sides count alike.
     code = large_codes["paley97"]
     w2, w3 = distance_search(code, 2), distance_search(code, 3)
-    counters = SearchCounters(roots=97, narrowed=0, levels=97, offers=0, membership=0)
+    counters = SearchCounters(roots=0, narrowed=0, levels=0, offers=0, membership=0)
     assert (w2.dz_counters, w2.dx_counters) == (counters, counters)
-    counters = SearchCounters(roots=97, narrowed=96, levels=97, offers=552, membership=1)
+    counters = SearchCounters(roots=1, narrowed=0, levels=1, offers=552, membership=1)
     assert (w3.dz_counters, w3.dx_counters) == (counters, counters)
     assert 0 in w3.dz_witness and 0 in w3.dx_witness
 

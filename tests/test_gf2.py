@@ -1,10 +1,11 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gf2_oracle
-from paleylift import graphs
+from paleylift import gf2, graphs
 from paleylift.gf2 import (
     BinaryMatrix,
     DimensionMismatch,
@@ -288,7 +289,7 @@ def test_row_space_sparse_reduce_matches_dense_reduction():
         m = BinaryMatrix.from_bitmasks(
             (rng.getrandbits(cols) & rng.getrandbits(cols) for _ in range(rows)), cols)
         space = RowSpace(m)
-        reduced, pivots = _eliminate(m.row_bits, m.cols)
+        reduced, pivots = _eliminate(m.row_bits)
         for _ in range(20):
             v = rng.getrandbits(cols)
             dense = v
@@ -299,3 +300,58 @@ def test_row_space_sparse_reduce_matches_dense_reduction():
             assert space.contains(v) == (dense == 0)
             assert space.contains(v) == (rank(BinaryMatrix.from_bitmasks(
                 m.row_bits + (v,), cols)) == space.rank)
+
+
+@st.composite
+def eliminable(draw):
+    """Up to 40 rows of up to 300 columns, at one density from a few set bits
+    per row to all of them, with some rows zeroed or copied."""
+    rows, cols = draw(st.integers(0, 40)), draw(st.integers(0, 300))
+    word = st.integers(0, (1 << cols) - 1)
+    density = draw(st.sampled_from(["sparse", "quarter", "half", "three quarters",
+                                    "full"]))
+    out = []
+    for _ in range(rows):
+        if density == "sparse":
+            r = sum({1 << j for j in draw(st.lists(st.integers(0, max(cols - 1, 0)),
+                                                   max_size=3))}) if cols else 0
+        elif density == "quarter":
+            r = draw(word) & draw(word)
+        elif density == "half":
+            r = draw(word)
+        elif density == "three quarters":
+            r = draw(word) | draw(word)
+        else:
+            r = (1 << cols) - 1
+        out.append(r)
+    for i in draw(st.lists(st.integers(0, max(rows - 1, 0)), max_size=4)):
+        if rows:
+            out[i] = draw(st.sampled_from([0, out[draw(st.integers(0, rows - 1))]]))
+    return BinaryMatrix.from_bitmasks(out, cols)
+
+
+def _wide_sparse():
+    rng = random.Random(11)
+    rows = [sum(1 << rng.randrange(2400) for _ in range(3)) for _ in range(36)]
+    return BinaryMatrix.from_bitmasks(rows + [rows[0], 0, rows[5] ^ rows[9]], 2400)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=eliminable(), data=st.data())
+@example(m=BinaryMatrix.zeros(0, 0), data=None)
+@example(m=BinaryMatrix.zeros(6, 0), data=None)
+@example(m=BinaryMatrix.identity(40), data=None)
+@example(m=BinaryMatrix.zeros(40, 300), data=None)
+@example(m=_wide_sparse(), data=None)
+def test_eliminate_matches_column_scan_oracle(m, data):
+    assert _eliminate(m.row_bits) == gf2_oracle.eliminate(m.row_bits, m.cols)
+    vectors = ([data.draw(st.integers(0, (1 << m.cols) - 1)) for _ in range(4)]
+               if data else []) + list(m.row_bits[:2]) + [(1 << m.cols) - 1]
+    fresh = BinaryMatrix(m.rows, m.cols, m.row_bits)   # no row space kept yet
+    with mock.patch.object(gf2, "_eliminate",
+                           lambda rows: gf2_oracle.eliminate(rows, m.cols)):
+        want = (rank(fresh), kernel_basis(m), standard_form(m),
+                [fresh.row_space.reduce(v) for v in vectors])
+    got = (rank(m), kernel_basis(m), standard_form(m),
+           [RowSpace(m).reduce(v) for v in vectors])
+    assert got == want

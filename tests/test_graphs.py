@@ -104,6 +104,8 @@ def test_graph_matches_set_oracle(case, data):
     assert Graph.from_neighbours(g.neighbours) == g
     comp = complement(g)
     assert comp.edges == graph_oracle.complement(n, want)
+    assert comp.neighbours == graph_oracle.masks(n, comp.edges)
+    assert complement(comp) == g
 
     # a target isomorphic to g, or g's complement, and a mapping that is the
     # relabelling, another permutation, not a permutation at all, or the
