@@ -88,23 +88,19 @@ class DistanceReport:
     dx_counters: SearchCounters = field(default_factory=SearchCounters, compare=False)
 
 
-def _cycle_graph(h: BinaryMatrix, name: str) -> tuple[
-        list[list[tuple[int, int]]], list[int], list[tuple[int, int]]]:
+def _columns(h: BinaryMatrix, name: str) -> tuple[
+        tuple[int, ...], list[int], list[tuple[int, int]]]:
     """The graph whose vertices are the rows of h and whose edges are its
-    columns: adjacency lists of (neighbour, column), the loops (columns of
-    weight 0), and the parallel edges, (i, j) for each column j equal to an
-    earlier one, i the lowest column equal to it.  ker(h) is then the
-    graph's cycle space.  A column of weight 2 joins its lowest and highest
-    set rows."""
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(h.rows)]
+    columns: the columns as row masks, the loops (columns of weight 0), and
+    the parallel edges, (i, j) for each column j equal to an earlier one, i
+    the lowest column equal to it.  ker(h) is then the graph's cycle space.
+    Its adjacency lists are _adjacency's, built apart."""
+    columns = h.transpose().row_bits
     loops, parallel = [], []
     first: dict[int, int] = {}   # column value -> its lowest column index
-    for j, column in enumerate(h.transpose().row_bits):
+    for j, column in enumerate(columns):
         weight = column.bit_count()
         if weight == 2:
-            u, v = (column & -column).bit_length() - 1, column.bit_length() - 1
-            adjacency[u].append((v, j))
-            adjacency[v].append((u, j))
             i = first.setdefault(column, j)
             if i != j:
                 parallel.append((i, j))
@@ -113,7 +109,19 @@ def _cycle_graph(h: BinaryMatrix, name: str) -> tuple[
         else:
             raise ValueError(f"{name} column {j} has weight {weight}; the distance "
                              f"engine needs a surface code (column weights 0 or 2)")
-    return adjacency, loops, parallel
+    return columns, loops, parallel
+
+
+def _adjacency(rows: int, columns: tuple[int, ...]) -> list[list[tuple[int, int]]]:
+    """Adjacency lists of (neighbour, column) of the graph of _columns: a
+    column of weight 2 joins its lowest and highest set rows."""
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(rows)]
+    for j, column in enumerate(columns):
+        if column:
+            u, v = (column & -column).bit_length() - 1, column.bit_length() - 1
+            adjacency[u].append((v, j))
+            adjacency[v].append((u, j))
+    return adjacency
 
 
 def _systole_side(
@@ -127,7 +135,7 @@ def _systole_side(
     support) candidate below; and the search's work counters.
 
     Every column of kernel_of has weight 0 or 2, so the kernel is the cycle
-    space of _cycle_graph(kernel_of).  Its vectors of weight <= 2 are
+    space of the graph of _columns(kernel_of).  Its vectors of weight <= 2 are
     decided from the columns: with kernel_of z = 0 and |z| <= 2, z is one
     zero column (a loop) or two equal columns (parallel edges).  Each loop
     is offered, and each parallel edge j with the lowest column i equal to
@@ -160,7 +168,8 @@ def _systole_side(
     equal weight has a lowest column no higher than the old one's, and
     lowest[] is nondecreasing; so the search ends at the first root with w
     < 3, as every candidate of weight <= 2 came from the columns.  With
-    w_max <= 2 no root is searched.  The bound loses no shortest logical C
+    w_max <= 2, or a witness among the columns, no root is searched and the
+    adjacency lists are not built.  The bound loses no shortest logical C
     of weight >= 3: at its lowest row, w >= len(C) unless the incumbent
     already weighs len(C).
 
@@ -172,11 +181,7 @@ def _systole_side(
     come after the incumbent.  Above weight 3 the result is a minimum-weight
     one.
     """
-    adjacency, loops, parallel = _cycle_graph(kernel_of, name)
-    # lowest[r]: the lowest column joining two rows >= r (cols if none)
-    lowest = [kernel_of.cols] * (len(adjacency) + 1)
-    for u in range(len(adjacency) - 1, -1, -1):
-        lowest[u] = min([lowest[u + 1]] + [j for v, j in adjacency[u] if v > u])
+    columns, loops, parallel = _columns(kernel_of, name)
     best_weight, best = w_max, 0   # best == 0 until a witness is found
     roots = narrowed = levels = offers = membership = 0
 
@@ -200,6 +205,13 @@ def _systole_side(
         offer(1 << j)
     for i, j in parallel:
         offer(1 << i | 1 << j)
+    # Root 0 is searched, to w_max, iff w_max >= 3 and the columns gave no
+    # witness; otherwise no root is.
+    adjacency = _adjacency(kernel_of.rows, columns) if best_weight >= 3 else []
+    # lowest[r]: the lowest column joining two rows >= r (cols if none)
+    lowest = [kernel_of.cols] * (len(adjacency) + 1)
+    for u in range(len(adjacency) - 1, -1, -1):
+        lowest[u] = min([lowest[u + 1]] + [j for v, j in adjacency[u] if v > u])
     for root in range(len(adjacency)):
         narrow = best != 0 and lowest[root] > (best & -best).bit_length() - 1
         w = best_weight - narrow

@@ -181,76 +181,170 @@ def complement(graph: Graph) -> Graph:
                                  for u, m in enumerate(graph.neighbours)))
 
 
+@dataclass
+class _Cells:
+    """A partition of two graphs' vertices into aligned cells: the pairs of
+    masks of two or more vertices, and the pairs of single vertices,
+    fixed_a[k] paired with fixed_b[k]."""
+
+    open: list[tuple[int, int]]
+    fixed_a: list[int]
+    fixed_b: list[int]
+
+
 def find_isomorphism(
     ga: Graph,
     gb: Graph,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Optional[IsomorphismCertificate]:
-    """Backtracking isomorphism search with degree pruning.
+    """Individualization-refinement isomorphism search (McKay & Piperno,
+    "Practical graph isomorphism, II", J. Symb. Comput. 60, 2014).
 
     Returns a verified certificate, or None when the graphs are definitely
     not isomorphic.  Raises SearchBudgetExceeded when the node budget runs
-    out before the search is decided.  The candidates for v are the unused
-    vertices of gb of v's degree that agree in adjacency with every mapped
-    u < v; they are tried in index order, so the result is deterministic.
+    out before the search is decided.
+
+    The vertices of ga and gb are split into aligned cells, each cell of ga
+    paired with one of gb.  Refinement splits every cell pair by the
+    number of neighbours in a splitter cell until no splitter splits any
+    pair: the stable colour refinement (1-WL) colouring of the disjoint
+    union, which is unique.  A neighbour count held by different numbers
+    of vertices in the two graphs fails the node.  The search then takes
+    the smallest cell of two or more vertices, ties going to the one that
+    holds the lowest ga vertex, and maps that cell's lowest ga vertex v to
+    each vertex of the paired gb cell in ascending order, refining after
+    each.  When every cell is a single vertex the pairing is an
+    isomorphism, since paired vertices agree in their adjacency to every
+    other pair.  The choices depend only on the cells as vertex sets, so
+    the result does not depend on the order in which they were split.
+
+    A node is one gb vertex tried for v, followed by one refinement.  The
+    refinement of the whole vertex sets comes first and costs no node:
+    graphs that colour refinement tells apart, by degrees among others,
+    are rejected with none.  node_budget, DEFAULT_NODE_BUDGET unless given,
+    bounds the nodes of the whole search over all its branches.  Within it
+    the search is exhaustive, so None is a definite answer.
     """
     n = ga.vertex_count
-    if n != gb.vertex_count or ga.edge_count != gb.edge_count:
+    if n != gb.vertex_count:
         return None
-    if ga.degree_sequence() != gb.degree_sequence():
-        return None
-
-    # Adjacency as bitmasks: below_a[v] holds v's neighbours u < v in ga,
-    # nb_b[w] all of w's neighbours in gb, pool_b[d] gb's vertices of degree d.
-    below_a = [m & ((1 << v) - 1) for v, m in enumerate(ga.neighbours)]
-    nb_b = gb.neighbours
-    pool_b: dict[int, int] = {}
-    for w in range(n):
-        d = gb.degree(w)
-        pool_b[d] = pool_b.get(d, 0) | 1 << w
-    deg_a = [ga.degree(v) for v in range(n)]
-    mapping = [-1] * n
+    nb_a, nb_b = ga.neighbours, gb.neighbours
+    vertices = range(n)
+    sentinel = 1 << n
     nodes = 0
 
-    def charge(count: int) -> None:
-        nonlocal nodes
-        nodes += count
-        if nodes > node_budget:
-            raise SearchBudgetExceeded(
-                f"isomorphism search exceeded {node_budget} nodes; undecided"
-            )
-
-    def extend(v: int, used: int) -> bool:
-        """Map v, v+1, ... onto the vertices outside used.  Every unused
-        vertex of matching degree is one node, whether or not it is
-        consistent with the vertices mapped so far."""
-        if v == n:
-            return True
-        pending = pool_b[deg_a[v]] & ~used
-        candidates = pending
-        for u in range(v):
-            if below_a[v] >> u & 1:
-                candidates &= nb_b[mapping[u]]
+    def counts(neighbours: tuple[int, ...], splitter: int) -> list[int]:
+        """Every vertex's number of neighbours in splitter, bit-sliced: bit
+        k of x's count is bit x of plane k."""
+        planes: list[int] = []
+        for x in compress(vertices, _flags(splitter)):
+            carry = neighbours[x]
+            for k, plane in enumerate(planes):
+                planes[k], carry = plane ^ carry, plane & carry
+                if not carry:
+                    break
             else:
-                candidates &= ~nb_b[mapping[u]]
-        while candidates:
-            low = candidates & -candidates
-            candidates ^= low
-            # charge the candidates up to and including this one
-            tried = pending & ((low << 1) - 1)
-            pending ^= tried
-            charge(tried.bit_count())
-            mapping[v] = low.bit_length() - 1
-            if extend(v + 1, used | low):
-                return True
-        charge(pending.bit_count())
-        return False
+                if carry:
+                    planes.append(carry)
+        return planes
 
-    if not extend(0, 0):
+    def split(cell: int, planes: list[int]) -> dict[int, int]:
+        """The cell's vertices by their count, as masks."""
+        pieces = {0: cell}
+        for k, plane in enumerate(planes):
+            if cell & plane:
+                for count, piece in list(pieces.items()):
+                    high = piece & plane
+                    if high:
+                        pieces[count | 1 << k] = high
+                        if high == piece:
+                            del pieces[count]
+                        else:
+                            pieces[count] = piece ^ high
+        return pieces
+
+    def place(cells: _Cells, piece_a: int, piece_b: int) -> None:
+        """Add an aligned pair of cells, as a fixed pair if single."""
+        if piece_a & piece_a - 1:
+            cells.open.append((piece_a, piece_b))
+        else:
+            cells.fixed_a.append(piece_a.bit_length() - 1)
+            cells.fixed_b.append(piece_b.bit_length() - 1)
+
+    def refine(cells: _Cells, splitters: list[tuple[int, int]]) -> bool:
+        """Split the aligned cells in place by their counts into each
+        splitter, and into each piece split off after it, until none is
+        left; False if a count class differs in size between the graphs.
+        Every piece but the largest is pushed: with the counts into the
+        whole cell and into the other pieces fixed, its counts are too."""
+        while splitters:
+            splitter_a, splitter_b = splitters.pop()
+            planes_a, planes_b = counts(nb_a, splitter_a), counts(nb_b, splitter_b)
+            if len(planes_a) != len(planes_b):
+                return False
+            if cells.fixed_a:
+                # the fixed pairs agree iff each plane, read as a bit string
+                # at fixed_a and at fixed_b, gives the same digits
+                pick_a, pick_b = itemgetter(*cells.fixed_a), itemgetter(*cells.fixed_b)
+                for plane_a, plane_b in zip(planes_a, planes_b):
+                    if (pick_a(bin(plane_a | sentinel)[:2:-1])
+                            != pick_b(bin(plane_b | sentinel)[:2:-1])):
+                        return False
+            touched_a = touched_b = 0
+            for plane_a, plane_b in zip(planes_a, planes_b):
+                touched_a |= plane_a
+                touched_b |= plane_b
+            pairs, cells.open = cells.open, []
+            for cell_a, cell_b in pairs:
+                if not (cell_a & touched_a or cell_b & touched_b):
+                    cells.open.append((cell_a, cell_b))
+                    continue
+                pieces_a, pieces_b = split(cell_a, planes_a), split(cell_b, planes_b)
+                if pieces_a.keys() != pieces_b.keys() or any(
+                        piece.bit_count() != pieces_b[c].bit_count()
+                        for c, piece in pieces_a.items()):
+                    return False
+                largest = max(pieces_a, key=lambda c: pieces_a[c].bit_count())
+                for c, piece_a in pieces_a.items():
+                    if c != largest:
+                        splitters.append((piece_a, pieces_b[c]))
+                    place(cells, piece_a, pieces_b[c])
+        return True
+
+    def search(cells: _Cells) -> Optional[tuple[int, ...]]:
+        """The first isomorphism below this equitable partition, or None."""
+        nonlocal nodes
+        if not cells.open:
+            return tuple(y for _, y in sorted(zip(cells.fixed_a, cells.fixed_b)))
+        _, v, i = min((a.bit_count(), a & -a, i) for i, (a, _) in enumerate(cells.open))
+        cell_a, cell_b = cells.open[i]
+        for w in compress(vertices, _flags(cell_b)):
+            nodes += 1
+            if nodes > node_budget:
+                raise SearchBudgetExceeded(
+                    f"isomorphism search exceeded {node_budget} nodes; undecided"
+                )
+            w = 1 << w
+            child = _Cells(cells.open[:i] + cells.open[i + 1:],
+                          list(cells.fixed_a), list(cells.fixed_b))
+            place(child, v, w)
+            place(child, cell_a ^ v, cell_b ^ w)
+            # the cell was a splitter already, so the rest of it is implied
+            # by {v}, {w} alone (see refine)
+            if refine(child, [(v, w)]):
+                found = search(child)
+                if found is not None:
+                    return found
         return None
-    result = tuple(mapping)
-    assert verify_isomorphism(ga, gb, result)
-    return IsomorphismCertificate(mapping=result, verified=True)
+
+    cells = _Cells([], [], [])
+    if n:
+        place(cells, sentinel - 1, sentinel - 1)
+    found = search(cells) if refine(cells, [(sentinel - 1, sentinel - 1)]) else None
+    if found is None:
+        return None
+    assert verify_isomorphism(ga, gb, found)
+    return IsomorphismCertificate(mapping=found, verified=True)
 
 
 def is_self_complementary(

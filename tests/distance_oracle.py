@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from paleylift.css import CssCode, DistanceReport, _cycle_graph
+from paleylift.css import CssCode, DistanceReport, _adjacency, _columns
 from paleylift.gf2 import BinaryMatrix, RowSpace
 
 
@@ -56,7 +56,8 @@ def all_roots_side(
     name: str,
 ) -> Optional[tuple[int, ...]]:
     """`css._systole_side` with a BFS ball from every root over all rows."""
-    adjacency, loops, _ = _cycle_graph(kernel_of, name)
+    columns, loops, _ = _columns(kernel_of, name)
+    adjacency = _adjacency(kernel_of.rows, columns)
     quotient = RowSpace(modulo)
     best_weight, best = w_max, 0
 
@@ -102,7 +103,8 @@ def min_row_side(
     name: str,
 ) -> Optional[tuple[int, ...]]:
     """`css._systole_side` with every root searched to w_max."""
-    adjacency, loops, _ = _cycle_graph(kernel_of, name)
+    columns, loops, _ = _columns(kernel_of, name)
+    adjacency = _adjacency(kernel_of.rows, columns)
     quotient = RowSpace(modulo)
     best_weight, best = w_max, 0   # best == 0 until a witness is found
 

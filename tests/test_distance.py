@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from distance_oracle import all_roots_distance, brute_force_distance, min_row_distance
-from paleylift import fields, paley, voltage
+from paleylift import css, fields, paley, voltage
 from paleylift.css import (
     SearchCounters,
     build_code_embedding,
@@ -184,6 +184,24 @@ def test_paley97_work_counters(large_codes):
     counters = SearchCounters(roots=1, narrowed=0, levels=1, offers=552, membership=1)
     assert (w3.dz_counters, w3.dx_counters) == (counters, counters)
     assert 0 in w3.dz_witness and 0 in w3.dx_witness
+
+
+@pytest.mark.parametrize("name, w, builds", [
+    ("paley9", 1, 0), ("paley9", 2, 0), ("paley9", 3, 2), ("lift3", 2, 0), ("lift3", 3, 2),
+    ("toric2x2", 2, 0), ("toric2x2", 3, 0),
+])
+def test_adjacency_built_only_when_a_root_is_searched(codes, monkeypatch, name, w, builds):
+    # the columns settle w <= 2, and a witness among them (the toric code's
+    # equal columns, d = 2) settles every w: only a side that searches a BFS
+    # root needs its rows' adjacency lists
+    calls = []
+    adjacency = css._adjacency
+    monkeypatch.setattr(css, "_adjacency",
+                        lambda rows, columns: calls.append(rows) or adjacency(rows, columns))
+    report = distance_search(codes[name], w)
+    assert len(calls) == builds
+    assert sum(c.roots > 0 for c in (report.dz_counters, report.dx_counters)) == builds
+    assert report == brute_force_distance(codes[name], w)
 
 
 def test_bfs_stops_at_an_empty_frontier(codes):

@@ -169,47 +169,114 @@ def test_isomorphism_to_self_is_identity():
 
 
 def test_isomorphism_degree_rejection():
-    assert find_isomorphism(complete_graph(3), path_graph(3)) is None
+    # the refinement of the whole vertex sets rejects these before any node;
+    # K2's degree 1 is a count that no vertex of the edgeless graph reaches
+    for ga, gb in ((complete_graph(3), path_graph(3)), (complete_graph(2), Graph(2, []))):
+        assert find_isomorphism(ga, gb, node_budget=0) is None
+        assert find_isomorphism(gb, ga, node_budget=0) is None
+
+
+def cycle_graph(n):
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def test_isomorphism_budget():
-    # two large empty-ish graphs with equal degree sequences but forced search
-    a = Graph(8, [(i, (i + 1) % 8) for i in range(8)])
-    b = Graph(8, [(i, (i + 1) % 8) for i in range(8)])
+    # colour refinement cannot split a cycle: fixing 0 -> 0 leaves the
+    # vertex pairs {i, 8 - i}, and fixing 1 -> 1 then settles every vertex
+    c8 = cycle_graph(8)
     with pytest.raises(SearchBudgetExceeded):
-        find_isomorphism(a, b, node_budget=2)
+        find_isomorphism(c8, c8, node_budget=1)
+    assert find_isomorphism(c8, c8, node_budget=2).mapping == tuple(range(8))
 
 
 def assert_matches_oracle(ga, gb):
-    """find_isomorphism gives the oracle's first mapping, and exhausts a
-    budget exactly one node short of the oracle's node count."""
-    want, count = isomorphism_oracle.find_isomorphism(ga, gb)
+    """find_isomorphism gives the refinement oracle's first mapping, and
+    exhausts a budget exactly one node short of the oracle's node count,
+    which is returned."""
+    want, count = isomorphism_oracle.individualization_refinement(ga, gb)
     cert = find_isomorphism(ga, gb, node_budget=count)
     assert (cert.mapping if cert else None) == want
     if count:
         with pytest.raises(SearchBudgetExceeded):
             find_isomorphism(ga, gb, node_budget=count - 1)
+    return count
 
 
-PALEY_LADDER = {9: (3, 2), 17: (17, 1), 25: (5, 2), 41: (41, 1), 49: (7, 2),
-                73: (73, 1), 81: (3, 4), 89: (89, 1), 97: (97, 1)}
+def shrikhande_graph():
+    """Z4 x Z4 with (a, b) ~ (c, d) iff the difference is +-(0, 1), +-(1, 0)
+    or +-(1, 1): strongly regular (16, 6, 2, 2), like the rook's graph."""
+    steps = {(0, 1), (1, 0), (1, 1), (0, 3), (3, 0), (3, 3)}
+    return Graph(16, [(4 * a + b, 4 * c + d)
+                      for a, b, c, d in itertools.product(range(4), repeat=4)
+                      if 4 * a + b < 4 * c + d and ((c - a) % 4, (d - b) % 4) in steps])
+
+
+def rook_graph():
+    """The 4 x 4 rook's graph: (a, b) ~ (c, d) iff a == c or b == d."""
+    return Graph(16, [(4 * a + b, 4 * c + d)
+                      for a, b, c, d in itertools.product(range(4), repeat=4)
+                      if 4 * a + b < 4 * c + d and (a == c or b == d)])
+
+
+@pytest.mark.parametrize("ga, gb", [
+    (shrikhande_graph(), rook_graph()),
+    (cycle_graph(6), Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])),
+    # two cubic graphs, the first triangle-free, found by random search: the
+    # search fixes vertex pairs whose adjacency to each other differs, which
+    # only the comparison of the fixed pairs' counts sees
+    (Graph(8, [(0, 2), (0, 3), (0, 5), (1, 2), (1, 5), (1, 7), (2, 4), (3, 6),
+               (3, 7), (4, 6), (4, 7), (5, 6)]),
+     Graph(8, [(0, 2), (0, 3), (0, 4), (1, 4), (1, 5), (1, 7), (2, 5), (2, 6),
+               (3, 6), (3, 7), (4, 5), (6, 7)])),
+], ids=["shrikhande-rook", "c6-2k3", "cubic-8"])
+def test_non_isomorphic_pairs_colour_refinement_cannot_split(ga, gb):
+    # regular of one degree, so the search must branch before it says no
+    assert isomorphism_oracle.backtracking(ga, gb) is None
+    assert assert_matches_oracle(ga, gb) > 0
+    assert find_isomorphism(ga, gb) is None
+
+
+# q: (p, r, nodes of find_isomorphism(dual, graph)) with the default modulus
+PALEY_LADDER = {9: (3, 2, 3), 17: (17, 1, 2), 25: (5, 2, 3), 41: (41, 1, 2),
+                49: (7, 2, 3), 73: (73, 1, 2), 81: (3, 4, 4), 89: (89, 1, 2),
+                97: (97, 1, 2)}
 
 
 @pytest.mark.parametrize("q", sorted(PALEY_LADDER))
 def test_paley_dual_isomorphism_matches_oracle(q):
-    built = paley.build_paley(fields.make_field(*PALEY_LADDER[q]))
+    p, r, nodes = PALEY_LADDER[q]
+    built = paley.build_paley(fields.make_field(p, r))
     dual = embedding.dual_graph(multiplier_cayley_map(built))
     assert dual.is_simple
-    assert_matches_oracle(dual.graph, built.graph)
+    assert assert_matches_oracle(dual.graph, built.graph) == nodes
 
 
-@pytest.mark.parametrize("t", [3, 4, 5])
+@pytest.mark.parametrize("p, r, nodes", [(3, 2, 3), (5, 2, 3), (7, 2, 3), (3, 4, 4)])
+def test_paley_dual_isomorphism_for_every_modulus(p, r, nodes):
+    # the benchmark draws each prime power's modulus from all of these
+    moduli = [m for m in fields._monic_polys(r, p) if fields._find_factor(m, p) is None]
+    assert len(moduli) == {9: 3, 25: 10, 49: 21, 81: 18}[p ** r]
+    for modulus in moduli:
+        built = paley.build_paley(fields.make_field(p, r, modulus))
+        dual = embedding.dual_graph(multiplier_cayley_map(built))
+        assert dual.is_simple
+        assert assert_matches_oracle(dual.graph, built.graph) == nodes
+        cert = find_isomorphism(dual.graph, built.graph)
+        assert cert.verified and verify_isomorphism(dual.graph, built.graph, cert.mapping)
+
+
+# t: nodes of find_isomorphism(dual, lift), and of (lift, complement)
+LIFT_NODES = {3: 8, 4: 24, 5: 56}
+
+
+@pytest.mark.parametrize("t", sorted(LIFT_NODES))
 def test_lift_dual_and_complement_isomorphisms_match_oracle(t):
+    nodes = LIFT_NODES[t]
     rotation = voltage.derived_embedding(voltage.build_voltage_graph(t))
     dual = embedding.dual_graph(rotation)
     assert dual.is_simple
-    assert_matches_oracle(dual.graph, rotation.graph)
-    assert_matches_oracle(rotation.graph, complement(rotation.graph))
+    assert assert_matches_oracle(dual.graph, rotation.graph) == nodes
+    assert assert_matches_oracle(rotation.graph, complement(rotation.graph)) == nodes
 
 
 @st.composite
@@ -237,6 +304,8 @@ def graph_pairs(draw):
 @given(pair=graph_pairs())
 def test_random_isomorphisms_match_oracle(pair):
     assert_matches_oracle(*pair)
+    assert ((find_isomorphism(*pair) is None)
+            == (isomorphism_oracle.backtracking(*pair) is None))
 
 
 def test_p4_self_complementary_with_brute_force_oracle():
