@@ -6,7 +6,10 @@ matrix of a rotation system, so k = 2 * genus.
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 from typing import Optional
 
@@ -88,37 +91,104 @@ class DistanceReport:
     dx_counters: SearchCounters = field(default_factory=SearchCounters, compare=False)
 
 
-def _columns(h: BinaryMatrix, name: str) -> tuple[
-        tuple[int, ...], list[int], list[tuple[int, int]]]:
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_UNSIGNED = {1: "B", 2: "H", 4: "I", 8: "Q"}   # array typecodes by item size
+
+
+def _bit_bytes(bits: int, cols: int) -> bytes:
+    """One byte per column j < cols: 1 where bit j of bits is set, else 0."""
+    return bin(bits | 1 << cols)[:2:-1].encode().translate(_BIT_BYTES)
+
+
+def _columns(h: BinaryMatrix, name: str, ends: bool) -> tuple[list[int], list[int]]:
     """The graph whose vertices are the rows of h and whose edges are its
-    columns: the columns as row masks, the loops (columns of weight 0), and
-    the parallel edges, (i, j) for each column j equal to an earlier one, i
-    the lowest column equal to it.  ker(h) is then the graph's cycle space.
-    Its adjacency lists are _adjacency's, built apart."""
-    columns = h.transpose().row_bits
-    loops, parallel = [], []
-    first: dict[int, int] = {}   # column value -> its lowest column index
-    for j, column in enumerate(columns):
-        weight = column.bit_count()
-        if weight == 2:
-            i = first.setdefault(column, j)
+    columns, read in one pass over the rows without transposing h.  ker(h)
+    is the graph's cycle space.  Returns the loops (the columns of weight
+    0) and, if ends, each column's ends: high << width | low for its lowest
+    and highest set rows, width = (rows - 1).bit_length(), 0 for a loop
+    ([] without ends).  A column of weight other than 0 or 2 raises
+    ValueError.
+
+    seen, twice and more hold the columns of weight >= 1, >= 2 and >= 3
+    in the rows so far.  Plane k of low and high holds bit k of each
+    column's lowest and highest set row: row i is or-ed into the planes of
+    the set bits of i, as the columns it holds first and again.  That is
+    O(rows x width) whole-row operations, against O(nonzeros) steps to
+    transpose h."""
+    width = (h.rows - 1).bit_length() if ends else 0
+    low, high = [0] * width, [0] * width
+    seen = twice = more = 0
+    for i, r in enumerate(h.row_bits):
+        again = seen & r
+        more |= twice & again
+        twice |= again
+        seen |= r
+        if width:
+            first = r ^ again
+            for k in range(i.bit_length()):
+                if i >> k & 1:
+                    low[k] |= first
+                    high[k] |= again
+    bad = seen ^ twice | more
+    if bad:
+        j = (bad & -bad).bit_length() - 1
+        weight = sum(r >> j & 1 for r in h.row_bits)
+        raise ValueError(f"{name} column {j} has weight {weight}; the distance "
+                         f"engine needs a surface code (column weights 0 or 2)")
+    unseen = ((1 << h.cols) - 1) ^ seen
+    loops = list(compress(range(h.cols), _bit_bytes(unseen, h.cols))) if unseen else []
+    return loops, _column_numbers(low + high, h.cols) if ends else []
+
+
+def _column_numbers(planes: list[int], cols: int) -> list[int]:
+    """For each column j, the number whose bit k is bit j of planes[k].
+    Each plane is spread one bit to a field of `size` bytes, the spread
+    planes are shifted into one another as little-endian integers, and the
+    fields are read back as one array of unsigned integers."""
+    size = next(s for s in (1, 2, 4, 8) if len(planes) <= 8 * s)
+    packed = 0
+    for k, plane in enumerate(planes):
+        spread = _bit_bytes(plane, cols)
+        if size > 1:
+            spread, fields = bytearray(size * cols), spread
+            spread[::size] = fields
+        packed |= int.from_bytes(spread, "little") << k
+    numbers = array(_UNSIGNED[size], packed.to_bytes(size * cols, "little"))
+    if sys.byteorder == "big":
+        numbers.byteswap()
+    return numbers.tolist()
+
+
+def _parallel(ends: list[int]) -> list[tuple[int, int]]:
+    """The parallel edges of the graph of _columns: (i, j) for each column j
+    equal to an earlier one, i the lowest column equal to it.  Equal
+    columns have equal ends, and the loops' ends are 0; one set of the
+    ends shows whether any two columns of weight 2 are equal, before they
+    are listed."""
+    distinct = set(ends)
+    distinct.discard(0)
+    if len(distinct) == len(ends) - ends.count(0):
+        return []
+    first: dict[int, int] = {}   # ends -> the lowest column with them
+    parallel = []
+    for j, end in enumerate(ends):
+        if end:
+            i = first.setdefault(end, j)
             if i != j:
                 parallel.append((i, j))
-        elif not weight:
-            loops.append(j)
-        else:
-            raise ValueError(f"{name} column {j} has weight {weight}; the distance "
-                             f"engine needs a surface code (column weights 0 or 2)")
-    return columns, loops, parallel
+    return parallel
 
 
-def _adjacency(rows: int, columns: tuple[int, ...]) -> list[list[tuple[int, int]]]:
-    """Adjacency lists of (neighbour, column) of the graph of _columns: a
-    column of weight 2 joins its lowest and highest set rows."""
+def _adjacency(rows: int, ends: list[int]) -> list[list[tuple[int, int]]]:
+    """Adjacency lists of (neighbour, column) of the graph of _columns, in
+    ascending column order: a column of weight 2 joins its lowest and
+    highest set rows."""
+    width = (rows - 1).bit_length()
+    mask = (1 << width) - 1
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(rows)]
-    for j, column in enumerate(columns):
-        if column:
-            u, v = (column & -column).bit_length() - 1, column.bit_length() - 1
+    for j, end in enumerate(ends):
+        if end:
+            u, v = end & mask, end >> width
             adjacency[u].append((v, j))
             adjacency[v].append((u, j))
     return adjacency
@@ -138,8 +208,9 @@ def _systole_side(
     space of the graph of _columns(kernel_of).  Its vectors of weight <= 2 are
     decided from the columns: with kernel_of z = 0 and |z| <= 2, z is one
     zero column (a loop) or two equal columns (parallel edges).  Each loop
-    is offered, and each parallel edge j with the lowest column i equal to
-    it, as i + j.  That covers every pair: if a + b (i < a < b) is outside
+    is offered, and, if w_max >= 2, each parallel edge j with the lowest
+    column i equal to it, as i + j; at w_max = 1 the column ends are not
+    read.  That covers every pair: if a + b (i < a < b) is outside
     rowspace(modulo), so is i + a or i + b, whose sum it is, and both come
     before a + b in sorted-support order.  Only weights >= 3 need the BFS
     below.  The cycles outside a subspace satisfy
@@ -181,7 +252,7 @@ def _systole_side(
     come after the incumbent.  Above weight 3 the result is a minimum-weight
     one.
     """
-    columns, loops, parallel = _columns(kernel_of, name)
+    loops, ends = _columns(kernel_of, name, ends=w_max >= 2)
     best_weight, best = w_max, 0   # best == 0 until a witness is found
     roots = narrowed = levels = offers = membership = 0
 
@@ -203,11 +274,11 @@ def _systole_side(
 
     for j in loops:
         offer(1 << j)
-    for i, j in parallel:
+    for i, j in _parallel(ends):
         offer(1 << i | 1 << j)
     # Root 0 is searched, to w_max, iff w_max >= 3 and the columns gave no
     # witness; otherwise no root is.
-    adjacency = _adjacency(kernel_of.rows, columns) if best_weight >= 3 else []
+    adjacency = _adjacency(kernel_of.rows, ends) if best_weight >= 3 else []
     # lowest[r]: the lowest column joining two rows >= r (cols if none)
     lowest = [kernel_of.cols] * (len(adjacency) + 1)
     for u in range(len(adjacency) - 1, -1, -1):

@@ -15,6 +15,12 @@ from typing import Iterable, Sequence
 # A header count as to_text writes it: no sign, no "_", no leading zero.
 _DECIMAL = re.compile("0|[1-9][0-9]*")
 
+# The largest count a matrix text with no entries (no rows, or no columns)
+# may give for its other side, which no data line then shows.  It is above
+# the 523,776 edges of the complete graph on graphs.MAX_VERTICES vertices,
+# the most columns a code built from a graph can have.
+MAX_EMPTY_SIDE = 1 << 20
+
 
 class DimensionMismatch(ValueError):
     """Operand shapes do not line up."""
@@ -35,9 +41,9 @@ class BinaryMatrix:
             raise ValueError(
                 f"row storage holds {len(self.row_bits)} rows, expected {self.rows}"
             )
-        mask = (1 << self.cols) - 1
+        cols = self.cols
         for i, r in enumerate(self.row_bits):
-            if r < 0 or r & ~mask:
+            if r < 0 or r >> cols:
                 raise ValueError(f"row {i} has bits outside column range 0..{self.cols - 1}")
 
     # -- constructors ------------------------------------------------------
@@ -144,7 +150,10 @@ class BinaryMatrix:
     @classmethod
     def from_text(cls, text: str) -> "BinaryMatrix":
         """Parse to_text's format.  Blank lines are skipped; the header counts
-        must be plain decimals and every entry the token 0 or 1."""
+        must be plain decimals and every entry the token 0 or 1.  Nothing is
+        sized by a header count before the text shows that many entries:
+        a matrix with no rows or no columns may declare at most
+        MAX_EMPTY_SIDE of the other."""
         lines = [ln for ln in text.splitlines() if ln and not ln.isspace()]
         if not lines:
             raise ValueError("empty matrix text")
@@ -152,6 +161,9 @@ class BinaryMatrix:
         if len(header) != 2 or not all(_DECIMAL.fullmatch(tok) for tok in header):
             raise ValueError(f"bad header line {lines[0]!r}, expected 'rows cols'")
         rows, cols = int(header[0]), int(header[1])
+        if not (rows and cols) and max(rows, cols) > MAX_EMPTY_SIDE:
+            raise ValueError(f"a {rows}x{cols} matrix has no entries to show its "
+                             f"size; at most {MAX_EMPTY_SIDE} rows or columns")
         data = lines[1:]
         if cols == 0 and not data:
             # rows of zero columns are written as empty lines, skipped above
@@ -159,7 +171,9 @@ class BinaryMatrix:
         if len(data) != rows:
             raise ValueError(f"expected {rows} data lines, found {len(data)}")
         packed = []
-        width, gap = 2 * cols - 1, " " * (cols - 1)
+        # gap is compared only with lines of the full width, none of which
+        # is longer than the text
+        width, gap = 2 * cols - 1, " " * min(cols - 1, len(text))
         for i, ln in enumerate(data):
             # to_text's own layout: digits at the even offsets, single spaces
             # between them; read column 0 last by stepping back from the end

@@ -12,7 +12,7 @@ from functools import cached_property
 from itertools import compress, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .gf2 import BinaryMatrix
 
@@ -311,11 +311,9 @@ def find_isomorphism(
                     place(cells, piece_a, pieces_b[c])
         return True
 
-    def search(cells: _Cells) -> Optional[tuple[int, ...]]:
-        """The first isomorphism below this equitable partition, or None."""
+    def children(cells: _Cells) -> Iterator[_Cells]:
+        """The refined partitions below cells, one per node, in order."""
         nonlocal nodes
-        if not cells.open:
-            return tuple(y for _, y in sorted(zip(cells.fixed_a, cells.fixed_b)))
         _, v, i = min((a.bit_count(), a & -a, i) for i, (a, _) in enumerate(cells.open))
         cell_a, cell_b = cells.open[i]
         for w in compress(vertices, _flags(cell_b)):
@@ -332,10 +330,26 @@ def find_isomorphism(
             # the cell was a splitter already, so the rest of it is implied
             # by {v}, {w} alone (see refine)
             if refine(child, [(v, w)]):
-                found = search(child)
-                if found is not None:
-                    return found
-        return None
+                yield child
+
+    def search(cells: _Cells) -> Optional[tuple[int, ...]]:
+        """The first isomorphism below this equitable partition, or None:
+        depth first, each level's children drawn from a generator on an
+        explicit stack, so that the depth is not bounded by the recursion
+        limit."""
+        leaf = None if cells.open else cells
+        stack = [children(cells)] if cells.open else []
+        while stack and leaf is None:
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+            elif child.open:
+                stack.append(children(child))
+            else:
+                leaf = child
+        if leaf is None:
+            return None
+        return tuple(y for _, y in sorted(zip(leaf.fixed_a, leaf.fixed_b)))
 
     cells = _Cells([], [], [])
     if n:
@@ -401,10 +415,14 @@ def graph_to_json(graph: Graph) -> str:
 
 
 def graph_from_json(text: str) -> Graph:
-    """Parse graph JSON; any malformed content raises ValueError."""
+    """Parse graph JSON; any malformed content, and a vertex_count above
+    MAX_VERTICES, raises ValueError before the graph is built."""
     payload = json.loads(text)
     if not isinstance(payload, dict) or type(payload.get("vertex_count")) is not int:
         raise ValueError("expected an object with an integer vertex_count")
+    if payload["vertex_count"] > MAX_VERTICES:
+        raise ValueError(f"vertex_count {payload['vertex_count']} exceeds the limit "
+                         f"of {MAX_VERTICES}")
     edges = payload.get("edges")
     if not isinstance(edges, list) or not all(is_int_pair(e) for e in edges):
         raise ValueError("edges must be a list of [u, v] integer pairs")

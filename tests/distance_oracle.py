@@ -14,14 +14,53 @@ the brute force cannot.
 The min-row engine roots each cycle at its lowest row, as the engine does,
 but searches every root to w_max, where the engine bounds each root by its
 incumbent witness.
+
+Both read their graph from `columns` and `adjacency`: the columns of the
+transposed matrix, one at a time, where the engine reads every column at
+once from bit planes of the rows (`css._columns`).
 """
 from __future__ import annotations
 
 import itertools
 from typing import Optional
 
-from paleylift.css import CssCode, DistanceReport, _adjacency, _columns
+from paleylift.css import CssCode, DistanceReport
 from paleylift.gf2 import BinaryMatrix, RowSpace
+
+
+def columns(h: BinaryMatrix, name: str) -> tuple[
+        tuple[int, ...], list[int], list[tuple[int, int]]]:
+    """The graph whose vertices are the rows of h and whose edges are its
+    columns: the columns as row masks, the loops (columns of weight 0), and
+    the parallel edges, (i, j) for each column j equal to an earlier one, i
+    the lowest column equal to it."""
+    masks = h.transpose().row_bits
+    loops, parallel = [], []
+    first: dict[int, int] = {}   # column value -> its lowest column index
+    for j, column in enumerate(masks):
+        weight = column.bit_count()
+        if weight == 2:
+            i = first.setdefault(column, j)
+            if i != j:
+                parallel.append((i, j))
+        elif not weight:
+            loops.append(j)
+        else:
+            raise ValueError(f"{name} column {j} has weight {weight}; the distance "
+                             f"engine needs a surface code (column weights 0 or 2)")
+    return masks, loops, parallel
+
+
+def adjacency(rows: int, masks: tuple[int, ...]) -> list[list[tuple[int, int]]]:
+    """Adjacency lists of (neighbour, column) of the graph of `columns`: a
+    column of weight 2 joins its lowest and highest set rows."""
+    out: list[list[tuple[int, int]]] = [[] for _ in range(rows)]
+    for j, column in enumerate(masks):
+        if column:
+            u, v = (column & -column).bit_length() - 1, column.bit_length() - 1
+            out[u].append((v, j))
+            out[v].append((u, j))
+    return out
 
 
 def search_side(
@@ -56,8 +95,8 @@ def all_roots_side(
     name: str,
 ) -> Optional[tuple[int, ...]]:
     """`css._systole_side` with a BFS ball from every root over all rows."""
-    columns, loops, _ = _columns(kernel_of, name)
-    adjacency = _adjacency(kernel_of.rows, columns)
+    masks, loops, _ = columns(kernel_of, name)
+    lists = adjacency(kernel_of.rows, masks)
     quotient = RowSpace(modulo)
     best_weight, best = w_max, 0
 
@@ -75,14 +114,14 @@ def all_roots_side(
 
     for j in loops:
         offer(1 << j)
-    for root in range(len(adjacency)):
+    for root in range(len(lists)):
         path = {root: 0}
         tree = set()
         frontier = [root]
         for _ in range(w_max // 2):
             reached = []
             for x in frontier:
-                for y, j in adjacency[x]:
+                for y, j in lists[x]:
                     if y not in path:
                         path[y] = path[x] | (1 << j)
                         tree.add(j)
@@ -90,7 +129,7 @@ def all_roots_side(
             frontier = reached
         rim = set() if w_max % 2 else set(frontier)
         for x, to_x in list(path.items())[:len(path) - len(rim)]:
-            for y, j in adjacency[x]:
+            for y, j in lists[x]:
                 if (x < y or y in rim) and j not in tree and y in path:
                     offer(to_x ^ path[y] ^ (1 << j))
     return tuple(j for j in range(kernel_of.cols) if best >> j & 1) if best else None
@@ -103,8 +142,8 @@ def min_row_side(
     name: str,
 ) -> Optional[tuple[int, ...]]:
     """`css._systole_side` with every root searched to w_max."""
-    columns, loops, _ = _columns(kernel_of, name)
-    adjacency = _adjacency(kernel_of.rows, columns)
+    masks, loops, _ = columns(kernel_of, name)
+    lists = adjacency(kernel_of.rows, masks)
     quotient = RowSpace(modulo)
     best_weight, best = w_max, 0   # best == 0 until a witness is found
 
@@ -124,14 +163,14 @@ def min_row_side(
 
     for j in loops:
         offer(1 << j)
-    for root in range(len(adjacency)):
+    for root in range(len(lists)):
         path = {root: 0}   # vertex -> columns of its tree path to the root
         tree = set()
         frontier = [root]
         for _ in range(w_max // 2):
             reached = []
             for x in frontier:
-                for y, j in adjacency[x]:
+                for y, j in lists[x]:
                     if y > root and y not in path:
                         path[y] = path[x] | (1 << j)
                         tree.add(j)
@@ -142,7 +181,7 @@ def min_row_side(
         # edges to an inner vertex is met from the inner end.
         rim = set() if w_max % 2 else set(frontier)
         for x, to_x in list(path.items())[:len(path) - len(rim)]:
-            for y, j in adjacency[x]:
+            for y, j in lists[x]:
                 if (x < y or y in rim) and j not in tree and y in path:
                     offer(to_x ^ path[y] ^ (1 << j))
     return tuple(j for j in range(kernel_of.cols) if best >> j & 1) if best else None

@@ -303,10 +303,10 @@ def test_verify_names_the_css_row_pair(lift3_workdir, tmp_path, capsys):
     assert "  FAIL  k = n - rank(hx) - rank(hz)" in lines
 
 
-def test_builders_refuse_graphs_over_the_vertex_limit(tmp_path):
-    """Sizes past graphs.MAX_VERTICES exit 2 before any field, table or
-    graph is built.  The child caps its own address space, so a missing
-    check fails the test instead of exhausting memory."""
+def run_capped(*argv):
+    """The CLI in a child process that caps its own address space at 1 GiB,
+    so that an input sizing a large allocation fails the calling test
+    instead of exhausting memory."""
     script = ("import resource, sys\n"
               "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
               "from paleylift.cli import main\n"
@@ -314,10 +314,15 @@ def test_builders_refuse_graphs_over_the_vertex_limit(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script, *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_builders_refuse_graphs_over_the_vertex_limit(tmp_path):
+    """Sizes past graphs.MAX_VERTICES exit 2 before any field, table or
+    graph is built."""
     for argv in (("lift", "64"), ("paley", "3", "12"), ("lift", "10"), ("paley", "1033", "1")):
-        result = subprocess.run(
-            [sys.executable, "-c", script, *argv, "--out", str(tmp_path / "x")],
-            env=env, capture_output=True, text=True, timeout=60)
+        result = run_capped(*argv, "--out", tmp_path / "x")
         assert result.returncode == 2, (argv, result.stderr)
         assert "exceeds the limit of 1024" in result.stderr, argv
     assert not (tmp_path / "x").exists()
@@ -461,6 +466,20 @@ def _sign_header(text):
     return "+" + text
 
 
+def _argv(command, work):
+    """The command line of one command on the copy `work` of lift3_workdir."""
+    return {
+        "code": ("code", work / "graph.json", "--rotation", work / "rotation.json",
+                 "--out", work / "out"),
+        "verify": ("verify", work / "bundle"),
+        "distance": ("distance", work / "bundle", "--max-weight", 1),
+        "embed-search": ("embed-search", work / "graph.json", "--genus", 0,
+                         "--out", work / "out" / "found.json"),
+        "paley": ("paley", 3, 2, "--out", work / "out"),
+        "lift": ("lift", 3, "--out", work / "out"),
+    }[command]
+
+
 @pytest.mark.parametrize("target, content, command, expected", [
     ("graph.json", '{"vertex_count":"3","edges":[]}', "code", 2),
     ("graph.json", "[]", "code", 2),
@@ -504,14 +523,27 @@ def test_malformed_input_exits_without_traceback(lift3_workdir, tmp_path,
     shutil.copytree(lift3_workdir, work)
     path = work / target
     path.write_text(content(path.read_text()) if callable(content) else content)
-    argv = {
-        "code": ("code", work / "graph.json", "--rotation", work / "rotation.json",
-                 "--out", work / "out"),
-        "verify": ("verify", work / "bundle"),
-        "distance": ("distance", work / "bundle", "--max-weight", 1),
-        "embed-search": ("embed-search", work / "graph.json", "--genus", 0,
-                         "--out", work / "out" / "found.json"),
-        "paley": ("paley", 3, 2, "--out", work / "out"),
-        "lift": ("lift", 3, "--out", work / "out"),
-    }[command]
-    assert run(*argv) == expected
+    assert run(*_argv(command, work)) == expected
+
+
+@pytest.mark.parametrize("targets, content, command, expected", [
+    # 200000 rows of 200000 bytes: 40 GB
+    (["graph.json"], '{"vertex_count":200000,"edges":[]}', "code", 2),
+    (["graph.json"], '{"vertex_count":200000,"edges":[]}', "embed-search", 2),
+    # a gap of 2 * 10^10 spaces, a mask or list of 2 * 10^10 columns, a tuple of as many rows
+    (["bundle/hx.txt", "bundle/hz.txt"], "1 20000000000\n0\n", "verify", 1),
+    (["bundle/hx.txt", "bundle/hz.txt"], "1 20000000000\n0\n", "distance", 2),
+    (["bundle/hx.txt", "bundle/hz.txt"], "0 20000000000\n", "verify", 1),
+    (["bundle/hx.txt", "bundle/hz.txt"], "0 20000000000\n", "distance", 2),
+    (["bundle/hx.txt", "bundle/hz.txt"], "20000000000 0\n", "verify", 1),
+])
+def test_oversized_counts_exit_without_traceback(lift3_workdir, tmp_path,
+                                                 targets, content, command, expected):
+    # a count in a small file sizes nothing before the file shows it
+    work = tmp_path / "w"
+    shutil.copytree(lift3_workdir, work)
+    for target in targets:
+        (work / target).write_text(content)
+    result = run_capped(*_argv(command, work))
+    assert result.returncode == expected, result.stderr
+    assert "Traceback" not in result.stderr

@@ -4,8 +4,9 @@ import dataclasses
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import distance_oracle
 from distance_oracle import all_roots_distance, brute_force_distance, min_row_distance
 from paleylift import css, fields, paley, voltage
 from paleylift.css import (
@@ -197,11 +198,119 @@ def test_adjacency_built_only_when_a_root_is_searched(codes, monkeypatch, name, 
     calls = []
     adjacency = css._adjacency
     monkeypatch.setattr(css, "_adjacency",
-                        lambda rows, columns: calls.append(rows) or adjacency(rows, columns))
+                        lambda rows, ends: calls.append(rows) or adjacency(rows, ends))
     report = distance_search(codes[name], w)
     assert len(calls) == builds
     assert sum(c.roots > 0 for c in (report.dz_counters, report.dx_counters)) == builds
     assert report == brute_force_distance(codes[name], w)
+
+
+@pytest.mark.parametrize("name, w, reads", [
+    ("paley9", 1, 0), ("paley9", 2, 2), ("paley9", 3, 2), ("toric2x2", 1, 0),
+    ("toric2x2", 2, 2), ("triangle", 1, 0),
+])
+def test_column_ends_read_only_from_weight_two(codes, monkeypatch, name, w, reads):
+    # at w = 1 the loops are the whole answer, and they come from the
+    # weight masks alone: no plane is decoded into column ends
+    calls = []
+    numbers = css._column_numbers
+    monkeypatch.setattr(css, "_column_numbers",
+                        lambda planes, cols: calls.append(cols) or numbers(planes, cols))
+    report = distance_search(codes[name], w)
+    assert len(calls) == reads
+    assert report == brute_force_distance(codes[name], w)
+
+
+def test_weight_one_offers_no_parallel_pair(codes):
+    # the 2x2 toric code's graph and dual each have four parallel edges,
+    # candidates of weight 2: offered at w = 2, not at w = 1
+    w1, w2 = distance_search(codes["toric2x2"], 1), distance_search(codes["toric2x2"], 2)
+    for counters in (w1.dz_counters, w1.dx_counters):
+        assert counters == SearchCounters()
+    for counters in (w2.dz_counters, w2.dx_counters):
+        assert counters == SearchCounters(offers=4, membership=1)
+
+
+def test_distance_search_transposes_no_matrix(codes, monkeypatch):
+    # the engine reads each column's rows from bit planes of the rows
+    want = {(name, w): distance_search(codes[name], w)
+            for name in ("paley9", "lift3", "toric2x2", "triangle") for w in (1, 2, 3)}
+
+    def transpose(self):
+        raise AssertionError("distance_search transposed a matrix")
+
+    monkeypatch.setattr(BinaryMatrix, "transpose", transpose)
+    for (name, w), report in want.items():
+        assert distance_search(codes[name], w) == report
+
+
+# Row counts around the powers of two where the planes' width, and the
+# field size of the column numbers, change.
+ROW_COUNTS = [0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 255, 256, 257]
+
+
+def _from_columns(rows, masks):
+    """The rows x len(masks) matrix whose column j is masks[j], built one
+    entry at a time."""
+    bits = [0] * rows
+    for j, mask in enumerate(masks):
+        for i in range(rows):
+            bits[i] |= (mask >> i & 1) << j
+    return BinaryMatrix(rows, len(masks), tuple(bits))
+
+
+@st.composite
+def two_row_columns(draw):
+    """A matrix whose columns have weight 0 or 2, with repeated columns;
+    in half of them one column is replaced by one of weight 1 or >= 3."""
+    rows = draw(st.sampled_from(ROW_COUNTS))
+    masks = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(["loop", "pair", "pair", "copy"])) if rows >= 2 else "loop"
+        if kind == "copy" and masks:
+            masks.append(draw(st.sampled_from(masks)))
+        elif kind == "loop":
+            masks.append(0)
+        else:
+            u, v = draw(st.lists(st.integers(0, rows - 1), min_size=2, max_size=2, unique=True))
+            masks.append(1 << u | 1 << v)
+    if rows and masks and draw(st.booleans()):
+        weight = draw(st.sampled_from([1, *range(3, min(rows, 6) + 1)]))
+        support = draw(st.lists(st.integers(0, rows - 1), min_size=weight, max_size=weight,
+                                unique=True))
+        masks[draw(st.integers(0, len(masks) - 1))] = sum(1 << i for i in support)
+    return _from_columns(rows, masks)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+# 65537 rows: 17-bit rows, so each column's two rows take 8-byte fields
+@settings(max_examples=300, deadline=None)
+@given(h=two_row_columns())
+@example(h=_from_columns(65537, [1 << 65536 | 1, 0, 1 << 65536 | 1 << 3, 1 << 65536 | 1]))
+@example(h=_from_columns(3, []))
+def test_column_kernel_matches_transpose_reference(h):
+    # the loops, the parallel pairs, each column's two rows and the
+    # adjacency lists, or the same error for a column of weight 1 or >= 3
+    want = _outcome(distance_oracle.columns, h, "H_X")
+    if isinstance(want, str):
+        for ends in (False, True):
+            assert _outcome(css._columns, h, "H_X", ends) == want
+        return
+    masks, loops, parallel = want
+    assert css._columns(h, "H_X", False) == (loops, [])
+    got, ends = css._columns(h, "H_X", True)
+    assert got == loops
+    width = (h.rows - 1).bit_length()
+    assert [(end & (1 << width) - 1, end >> width) for end in ends] == [
+        ((m & -m).bit_length() - 1, m.bit_length() - 1) if m else (0, 0) for m in masks]
+    assert css._parallel(ends) == parallel
+    assert css._adjacency(h.rows, ends) == distance_oracle.adjacency(h.rows, masks)
 
 
 def test_bfs_stops_at_an_empty_frontier(codes):

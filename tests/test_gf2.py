@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -206,6 +207,31 @@ def test_text_and_transpose_match_per_bit_oracles(m):
 def test_text_rejects_non_bit_rows(row):
     with pytest.raises(ValueError, match="row 0 is not 3 tokens each 0 or 1"):
         BinaryMatrix.from_text(f"2 3\n{row}\n0 1 1\n")
+
+
+@pytest.mark.parametrize("text, match", [
+    ("1 100000000\n0\n", "row 0 is not 100000000 tokens"),
+    ("2 100000000\n0 1\n1 0\n", "row 0 is not 100000000 tokens"),
+    ("0 1048577\n", "a 0x1048577 matrix has no entries"),
+    ("0 100000000\n", "a 0x100000000 matrix has no entries"),
+    ("1048577 0\n", "a 1048577x0 matrix has no entries"),
+])
+def test_text_header_sizes_nothing_the_text_does_not_show(text, match):
+    # each header would size a string, a mask or a tuple of 128 kB to 100 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=match):
+            BinaryMatrix.from_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+def test_text_takes_empty_matrices_up_to_the_bound():
+    assert gf2.MAX_EMPTY_SIDE == 1 << 20
+    assert BinaryMatrix.from_text("0 1048576\n") == BinaryMatrix.zeros(0, 1 << 20)
+    assert BinaryMatrix.from_text("1048576 0\n") == BinaryMatrix.zeros(1 << 20, 0)
 
 
 @pytest.mark.parametrize("header", ["+1 0_3", "01 3", "1 -3", "1_0 3", "1 +3", "1 03"])

@@ -8,6 +8,7 @@ import isomorphism_oracle
 from test_distance import multiplier_cayley_map
 from paleylift import embedding, fields, gf2, paley, voltage
 from paleylift.graphs import (
+    MAX_VERTICES,
     Graph,
     SearchBudgetExceeded,
     adjacency_matrix,
@@ -187,6 +188,16 @@ def test_isomorphism_budget():
     with pytest.raises(SearchBudgetExceeded):
         find_isomorphism(c8, c8, node_budget=1)
     assert find_isomorphism(c8, c8, node_budget=2).mapping == tuple(range(8))
+
+
+@pytest.mark.parametrize("n", [1000, MAX_VERTICES])
+def test_isomorphism_search_depth_is_not_bounded_by_recursion(n):
+    # refinement splits no cell of an edgeless or a complete graph, so the
+    # search fixes one vertex per level: n - 1 levels and n - 1 nodes
+    for g in (Graph(n, []), complement(Graph(n, []))):
+        assert find_isomorphism(g, g, node_budget=n - 1).mapping == tuple(range(n))
+        with pytest.raises(SearchBudgetExceeded):
+            find_isomorphism(g, g, node_budget=n - 2)
 
 
 def assert_matches_oracle(ga, gb):
@@ -420,7 +431,15 @@ def test_json_reader_sorts_and_validates():
     ('{"vertex_count":3,"edges":[[[0,1]]]}', "integer pairs"),
     ('{"vertex_count":-1,"edges":[]}', "non-negative"),
     ('{"vertex_count":3,"edges":[[1,0],[0,1]]}', r"duplicate edge \(0, 1\)"),
+    # checked before any row is allocated: 200000 would ask for 40 GB
+    ('{"vertex_count":1025,"edges":[]}', "vertex_count 1025 exceeds the limit of 1024"),
+    ('{"vertex_count":200000,"edges":[]}', "vertex_count 200000 exceeds the limit of 1024"),
 ])
 def test_json_reader_rejects_malformed_graphs(text, match):
     with pytest.raises(ValueError, match=match):
         graph_from_json(text)
+
+
+def test_json_reader_takes_the_largest_graph():
+    assert graph_from_json(f'{{"vertex_count":{MAX_VERTICES},"edges":[[0,1023]]}}').edges == (
+        (0, MAX_VERTICES - 1),)
