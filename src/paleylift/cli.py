@@ -292,7 +292,7 @@ def cmd_verify(args: argparse.Namespace, argv: list[str]) -> int:
             failures.append(name)
 
     try:
-        beta1, why = embedding.homology_ranks(code.hx, code.hz).beta1, ""
+        beta1, why = embedding.homology_ranks(code.hx, code.hz), ""
     except ValueError as exc:
         beta1, why = None, str(exc)
     check("css condition hx hz^T = 0", not why, why)

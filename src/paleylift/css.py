@@ -42,14 +42,14 @@ def build_code_embedding(
     kprime: Optional[int] = None,
 ) -> CssCode:
     """Surface code of an embedded graph: H_X from vertices, H_Z from faces,
-    k = beta1 of homology_ranks; a CSS failure is a face-tracing bug."""
+    k from homology_ranks; a CSS failure is a face-tracing bug."""
     if rotation.graph != graph:
         raise ValueError("rotation system belongs to a different graph")
     hx = incidence_matrix(graph)
     faces = trace_faces(rotation)
     hz = face_edge_matrix(faces)
     try:
-        k = homology_ranks(hx, hz).beta1
+        k = homology_ranks(hx, hz)
     except ValueError as exc:
         raise AssertionError(f"face tracing bug: {exc}") from exc
     n = graph.edge_count
@@ -207,13 +207,14 @@ def _systole_side(
     Every column of kernel_of has weight 0 or 2, so the kernel is the cycle
     space of the graph of _columns(kernel_of).  Its vectors of weight <= 2 are
     decided from the columns: with kernel_of z = 0 and |z| <= 2, z is one
-    zero column (a loop) or two equal columns (parallel edges).  Each loop
-    is offered, and, if w_max >= 2, each parallel edge j with the lowest
-    column i equal to it, as i + j; at w_max = 1 the column ends are not
-    read.  That covers every pair: if a + b (i < a < b) is outside
-    rowspace(modulo), so is i + a or i + b, whose sum it is, and both come
-    before a + b in sorted-support order.  Only weights >= 3 need the BFS
-    below.  The cycles outside a subspace satisfy
+    zero column (a loop) or two equal columns (parallel edges).  The loops
+    are offered in order up to the first one outside rowspace(modulo),
+    which precedes every later candidate, and, if w_max >= 2, each parallel
+    edge j with the lowest column i equal to it, as i + j; at w_max = 1 the
+    column ends are not read.  That covers every pair: if a + b (i < a < b)
+    is outside rowspace(modulo), so is i + a or i + b, whose sum it is, and
+    both come before a + b in sorted-support order.  Only weights >= 3 need
+    the BFS below.  The cycles outside a subspace satisfy
     Thomassen's 3-path condition (Thomassen, JCTB 48, 1990): a shortest one,
     C, is the sum of the fundamental cycles of its non-tree edges in a BFS
     tree rooted on C, so one of those is outside the subspace too, and each
@@ -245,12 +246,12 @@ def _systole_side(
     already weighs len(C).
 
     At weight <= 3 the result is also the smallest (weight, sorted support)
-    of all such vectors.  At weight <= 2 every candidate is offered, and at
-    weight 3 a smaller one would swap in the lowest of a set of parallel
-    edges, and BFS from its lowest row takes that one into the tree.  That
-    row is searched to at least its weight, as the smallest vector cannot
-    come after the incumbent.  Above weight 3 the result is a minimum-weight
-    one.
+    of all such vectors.  At weight <= 2 every candidate that could precede
+    the witness is offered, and at weight 3 a smaller one would swap in the
+    lowest of a set of parallel edges, and BFS from its lowest row takes
+    that one into the tree.  That row is searched to at least its weight,
+    as the smallest vector cannot come after the incumbent.  Above weight 3
+    the result is a minimum-weight one.
     """
     loops, ends = _columns(kernel_of, name, ends=w_max >= 2)
     best_weight, best = w_max, 0   # best == 0 until a witness is found
@@ -274,6 +275,8 @@ def _systole_side(
 
     for j in loops:
         offer(1 << j)
+        if best:   # a loop: no later candidate precedes it
+            break
     for i, j in _parallel(ends):
         offer(1 << i | 1 << j)
     # Root 0 is searched, to w_max, iff w_max >= 3 and the columns gave no

@@ -48,11 +48,6 @@ class RotationSystem:
                     f"{sorted(rot)} != {expected[v]}"
                 )
 
-    @classmethod
-    def from_index_order(cls, graph: Graph) -> "RotationSystem":
-        """Rotation listing each vertex's darts in ascending order."""
-        return cls(graph, tuple(tuple(d) for d in incident_darts(graph)))
-
     def successor_table(self) -> list[int]:
         succ = [0] * (2 * self.graph.edge_count)
         for rot in self.rotations:
@@ -69,10 +64,6 @@ class FaceSet:
     graph: Graph
     faces: tuple[tuple[int, ...], ...]
     genus: int
-
-    @property
-    def euler_characteristic(self) -> int:
-        return self.graph.vertex_count - self.graph.edge_count + len(self.faces)
 
 
 def trace_faces(rs: RotationSystem) -> FaceSet:
@@ -132,10 +123,6 @@ class DualGraphResult:
     def is_simple(self) -> bool:
         return not self.loops and all(c == 1 for _, c in self.multiplicities)
 
-    @property
-    def edge_count_with_multiplicity(self) -> int:
-        return len(self.loops) + sum(c for _, c in self.multiplicities)
-
 
 def dual_graph(rs: RotationSystem, faces: Optional[FaceSet] = None) -> DualGraphResult:
     """One dual vertex per face; one dual adjacency per primal edge."""
@@ -161,19 +148,11 @@ def dual_graph(rs: RotationSystem, faces: Optional[FaceSet] = None) -> DualGraph
     )
 
 
-@dataclass(frozen=True)
-class HomologySummary:
-    beta0: int
-    beta1: int
-    genus_from_homology: Optional[int]
-
-
-def homology_ranks(hx: BinaryMatrix, hz: BinaryMatrix) -> HomologySummary:
-    """Mod-2 Betti numbers of the chain complex defined by (hx, hz).
+def homology_ranks(hx: BinaryMatrix, hz: BinaryMatrix) -> int:
+    """The first mod-2 Betti number of the chain complex defined by (hx, hz),
+    beta1 = cols - rank(hx) - rank(hz): a surface code's k.
 
     Requires hx hz^T = 0; the first violating row pair is named otherwise.
-    beta1 = cols - rank(hx) - rank(hz).  An odd beta1 leaves the genus
-    undefined (reported as None).
     """
     if hx.cols != hz.cols:
         raise ValueError(f"column counts differ: {hx.cols} != {hz.cols}")
@@ -184,11 +163,7 @@ def homology_ranks(hx: BinaryMatrix, hz: BinaryMatrix) -> HomologySummary:
             raise ValueError(
                 f"hx hz^T != 0: row {i} of hx and row {j} of hz overlap oddly"
             )
-    r_x = rank(hx)
-    beta0 = hx.rows - r_x
-    beta1 = hx.cols - r_x - rank(hz)
-    genus = beta1 // 2 if beta1 % 2 == 0 else None
-    return HomologySummary(beta0=beta0, beta1=beta1, genus_from_homology=genus)
+    return hx.cols - rank(hx) - rank(hz)
 
 
 # -- self-dual embedding search ----------------------------------------------

@@ -4,14 +4,13 @@ Elements are indexed 0..p^r-1; index i encodes the polynomial whose
 coefficient vector (constant term first) is the base-p digit expansion
 of i.  For GF(9) this makes g_i = a*x + b with i = 3a + b.
 
-Addition works on indices digit by digit.  Every multiplicative operation
-reads one pair of exp/log tables for the canonical primitive element,
-built from the polynomial arithmetic on first use.
+Every operation takes and returns indices.  Addition works on them digit
+by digit.  Every multiplicative operation reads one pair of exp/log tables
+for the canonical primitive element, built from the polynomial arithmetic
+on first use.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from .graphs import require_vertex_count
@@ -110,40 +109,6 @@ def _find_factor(modulus: tuple[int, ...], p: int) -> tuple[int, ...] | None:
     return None
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """Element of a PrimePowerField, identified by its canonical index."""
-
-    field: "PrimePowerField"
-    index: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.index < self.field.order:
-            raise ValueError(f"index {self.index} outside field of order {self.field.order}")
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.index_to_coeffs(self.index)
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return self.field.add(self, other)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return self.field.sub(self, other)
-
-    def __neg__(self) -> "FieldElement":
-        return self.field.neg(self)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return self.field.mul(self, other)
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return self.field.pow(self, e)
-
-    def __repr__(self) -> str:
-        return f"g_{self.index}"
-
-
 class PrimePowerField:
     """GF(p^r) as Z_p[x] modulo a monic irreducible of degree r.
 
@@ -173,26 +138,7 @@ class PrimePowerField:
             idx = idx * self.p + (c % self.p)
         return idx
 
-    def element(self, index: int) -> FieldElement:
-        return FieldElement(self, index)
-
-    @property
-    def zero(self) -> FieldElement:
-        return self.element(0)
-
-    @property
-    def one(self) -> FieldElement:
-        return self.element(1)
-
-    def elements(self) -> list[FieldElement]:
-        return [self.element(i) for i in range(self.order)]
-
     # -- arithmetic ----------------------------------------------------------
-
-    def _check(self, *xs: FieldElement) -> None:
-        for x in xs:
-            if x.field is not self:
-                raise ValueError("element belongs to a different field")
 
     def add_index(self, i: int, j: int) -> int:
         """Index of g_i + g_j: base-p digits added without carry."""
@@ -242,37 +188,6 @@ class PrimePowerField:
                 return tuple(exp), tuple(log)
         raise AssertionError("no generator found")  # unreachable for a field
 
-    def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        self._check(a, b)
-        return self.element(self.add_index(a.index, b.index))
-
-    def neg(self, a: FieldElement) -> FieldElement:
-        self._check(a)
-        return self.element(self.neg_index(a.index))
-
-    def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        self._check(a, b)
-        return self.element(self.mul_index(a.index, b.index))
-
-    def pow(self, a: FieldElement, e: int) -> FieldElement:
-        self._check(a)
-        if e < 0:
-            raise ValueError("negative exponents not supported")
-        if a.index == 0:
-            return self.one if e == 0 else self.zero
-        exp, log = self._exp_log
-        return self.element(exp[log[a.index] * e % len(exp)])
-
-    def multiplicative_order(self, a: FieldElement) -> int:
-        self._check(a)
-        if a.index == 0:
-            raise ValueError("zero has no multiplicative order")
-        exp, log = self._exp_log
-        return len(exp) // math.gcd(log[a.index], len(exp))
-
     @cached_property
     def discrete_log(self) -> dict[int, int]:
         """Map element index -> exponent of the canonical primitive element,
@@ -318,27 +233,22 @@ def make_field(p: int, r: int, modulus: tuple[int, ...] | None = None) -> PrimeP
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
-def primitive_element(field: PrimePowerField) -> FieldElement:
-    """Element of smallest canonical index generating the multiplicative group."""
+def primitive_element(field: PrimePowerField) -> int:
+    """Index of the canonical primitive element: the smallest index that
+    generates the multiplicative group."""
     exp, _ = field._exp_log
-    return field.element(exp[1 % len(exp)])
+    return exp[1 % len(exp)]
 
 
-def power_table(field: PrimePowerField, g: FieldElement) -> list[FieldElement]:
-    """[g^1, g^2, ..., g^(q-1)]; requires g to be a generator."""
-    if g.field is not field:
-        raise ValueError("element belongs to a different field")
-    n = field.order - 1
-    order = field.multiplicative_order(g)
-    if order != n:
-        raise ValueError(f"{g!r} has order {order}, not a generator")
-    return [field.pow(g, e) for e in range(1, n + 1)]
-
-
-def quadratic_residues(field: PrimePowerField) -> frozenset[FieldElement]:
-    """The nonzero squares {g^2, g^4, ...}; defined for odd characteristic."""
+def quadratic_residues(field: PrimePowerField) -> frozenset[int]:
+    """Indices of the nonzero squares {1, g^2, g^4, ...}; defined for odd
+    characteristic."""
     if field.p == 2:
         raise ValueError("quadratic residues are not meaningful in characteristic 2 "
                          "(every element is a square)")
     g = primitive_element(field)
-    return frozenset(field.pow(g, e) for e in range(2, field.order, 2))
+    step = field.mul_index(g, g)
+    residues = [1]
+    for _ in range((field.order - 3) // 2):
+        residues.append(field.mul_index(residues[-1], step))
+    return frozenset(residues)

@@ -69,36 +69,10 @@ class BinaryMatrix:
         return cls(len(packed), width, tuple(packed))
 
     @classmethod
-    def from_bitmasks(cls, masks: Iterable[int], cols: int) -> "BinaryMatrix":
-        masks = tuple(masks)
-        return cls(len(masks), cols, masks)
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "BinaryMatrix":
         return cls(rows, cols, (0,) * rows)
 
-    @classmethod
-    def identity(cls, n: int) -> "BinaryMatrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    # -- element access ----------------------------------------------------
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.row_bits[i] >> j) & 1
-
-    def row(self, i: int) -> list[int]:
-        r = self.row_bits[i]
-        return [(r >> j) & 1 for j in range(self.cols)]
-
-    def to_lists(self) -> list[list[int]]:
-        return [self.row(i) for i in range(self.rows)]
-
-    def column_mask(self, j: int) -> int:
-        """Column j packed as an integer (bit i = row i)."""
-        out = 0
-        for i, r in enumerate(self.row_bits):
-            out |= ((r >> j) & 1) << i
-        return out
+    # -- transpose and row space -------------------------------------------
 
     def transpose(self) -> "BinaryMatrix":
         """At density 1/10 and above, one zip of the rows' bit strings:
@@ -124,12 +98,6 @@ class BinaryMatrix:
         """The row space, eliminated at its first use and then kept with the
         matrix, so each matrix is reduced at most once."""
         return RowSpace(self)
-
-    def row_weight(self, i: int) -> int:
-        return self.row_bits[i].bit_count()
-
-    def is_zero(self) -> bool:
-        return all(r == 0 for r in self.row_bits)
 
     # -- text format -------------------------------------------------------
 
@@ -188,19 +156,6 @@ class BinaryMatrix:
             packed.append(int(bits[::-1], 2))
         return cls(rows, cols, tuple(packed))
 
-    def __str__(self) -> str:
-        return self.to_text()
-
-
-@dataclass(frozen=True)
-class StandardFormResult:
-    """Row reduction outcome with the column permutation that fronts the pivots."""
-
-    reduced: BinaryMatrix
-    rank: int
-    column_permutation: tuple[int, ...]
-    pivot_columns: tuple[int, ...]
-
 
 def _eliminate(row_bits: Sequence[int]) -> tuple[list[int], list[int]]:
     """Gauss-Jordan over GF(2) to the reduced row echelon form, the pivot
@@ -240,48 +195,6 @@ def _eliminate(row_bits: Sequence[int]) -> tuple[list[int], list[int]]:
 def rank(m: BinaryMatrix) -> int:
     """Dimension of the row space over GF(2)."""
     return m.row_space.rank
-
-
-def kernel_basis(m: BinaryMatrix) -> BinaryMatrix:
-    """Basis of the right kernel {v : M v^T = 0}, one vector per row.
-
-    Free variables are enumerated in increasing column order, so the output
-    is deterministic; row count is cols - rank.
-    """
-    reduced, pivots = _eliminate(m.row_bits)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for f in free_cols:
-        v = 1 << f
-        for i, p in enumerate(pivots):
-            if (reduced[i] >> f) & 1:
-                v |= 1 << p
-        basis.append(v)
-    return BinaryMatrix(len(basis), m.cols, tuple(basis))
-
-
-def standard_form(m: BinaryMatrix) -> StandardFormResult:
-    """Row-reduce and front the pivot columns: reduced = [I_r | A].
-
-    column_permutation maps new column position -> original column index
-    (pivot columns first in pivot order, then the non-pivots ascending).
-    """
-    reduced, pivots = _eliminate(m.row_bits)
-    pivot_set = set(pivots)
-    perm = list(pivots) + [c for c in range(m.cols) if c not in pivot_set]
-    permuted = []
-    for r in reduced:
-        out = 0
-        for new_j, old_j in enumerate(perm):
-            out |= ((r >> old_j) & 1) << new_j
-        permuted.append(out)
-    return StandardFormResult(
-        reduced=BinaryMatrix(m.rows, m.cols, tuple(permuted)),
-        rank=len(pivots),
-        column_permutation=tuple(perm),
-        pivot_columns=tuple(pivots),
-    )
 
 
 def multiply(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:

@@ -110,12 +110,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.neighbours[v].bit_count()
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(m.bit_count() for m in self.neighbours))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.neighbours[u] >> v & 1)
-
     def is_connected(self) -> bool:
         if self.vertex_count == 0:
             return True
@@ -147,7 +141,6 @@ class IsomorphismCertificate:
     """Vertex permutation mapping a source graph onto a target graph."""
 
     mapping: tuple[int, ...]
-    verified: bool
 
 
 def verify_isomorphism(source: Graph, target: Graph, mapping: tuple[int, ...]) -> bool:
@@ -358,7 +351,7 @@ def find_isomorphism(
     if found is None:
         return None
     assert verify_isomorphism(ga, gb, found)
-    return IsomorphismCertificate(mapping=found, verified=True)
+    return IsomorphismCertificate(mapping=found)
 
 
 def is_self_complementary(

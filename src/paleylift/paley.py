@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import FieldElement, PrimePowerField, quadratic_residues
+from .fields import PrimePowerField, quadratic_residues
 from .graphs import Graph, IsomorphismCertificate, complement, verify_isomorphism
 
 
@@ -12,7 +12,7 @@ from .graphs import Graph, IsomorphismCertificate, complement, verify_isomorphis
 class PaleyGraph:
     field: PrimePowerField
     graph: Graph
-    connection_set: frozenset[FieldElement]
+    connection_set: frozenset[int]   # indices of the nonzero squares
 
 
 def build_paley(field: PrimePowerField) -> PaleyGraph:
@@ -24,8 +24,7 @@ def build_paley(field: PrimePowerField) -> PaleyGraph:
         raise ValueError(
             f"Paley construction requires p^r = 1 (mod 8); got {m} = {m % 8} (mod 8)"
         )
-    residues = quadratic_residues(field)
-    squares = {e.index for e in residues}
+    squares = quadratic_residues(field)
     if {field.neg_index(s) for s in squares} != squares:
         raise AssertionError("the squares are not closed under negation; arithmetic bug")
     # The index of x is a*p^k + y with a nonzero and y < p^k, so the mask of
@@ -44,16 +43,16 @@ def build_paley(field: PrimePowerField) -> PaleyGraph:
     expected_degree = (m - 1) // 2
     if any(graph.degree(v) != expected_degree for v in range(m)):
         raise AssertionError("Paley graph is not (m-1)/2-regular; arithmetic bug")
-    return PaleyGraph(field=field, graph=graph, connection_set=residues)
+    return PaleyGraph(field=field, graph=graph, connection_set=squares)
 
 
-def smallest_nonresidue(field: PrimePowerField) -> FieldElement:
-    """Nonzero non-square of smallest canonical index: in odd characteristic,
-    the first index with an odd discrete logarithm."""
+def smallest_nonresidue(field: PrimePowerField) -> int:
+    """Index of the nonzero non-square of smallest canonical index: in odd
+    characteristic, the first index with an odd discrete logarithm."""
     if field.p == 2:
         raise ValueError("every element of a field of characteristic 2 is a square")
     dlog = field.discrete_log
-    return field.element(next(i for i in range(1, field.order) if dlog[i] % 2))
+    return next(i for i in range(1, field.order) if dlog[i] % 2)
 
 
 def verify_self_complementary_via_multiplier(paley: PaleyGraph) -> IsomorphismCertificate:
@@ -61,7 +60,7 @@ def verify_self_complementary_via_multiplier(paley: PaleyGraph) -> IsomorphismCe
     non-square s, which exchanges squares and non-squares and therefore maps
     edges onto complement edges."""
     field = paley.field
-    s = smallest_nonresidue(field).index
+    s = smallest_nonresidue(field)
     mapping = tuple(field.mul_index(s, i) for i in range(field.order))
     comp = complement(paley.graph)
     if not verify_isomorphism(paley.graph, comp, mapping):
@@ -69,4 +68,4 @@ def verify_self_complementary_via_multiplier(paley: PaleyGraph) -> IsomorphismCe
             "multiplier map failed to carry edges onto the complement; "
             "field arithmetic bug"
         )
-    return IsomorphismCertificate(mapping=mapping, verified=True)
+    return IsomorphismCertificate(mapping=mapping)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
+import gf2_oracle
 from paleylift.css import CssCode, DistanceReport
 from paleylift.gf2 import BinaryMatrix, RowSpace
 
@@ -71,7 +72,7 @@ def search_side(
     """Minimum-weight vector in ker(kernel_of) outside rowspace(modulo),
     weight <= w_max, in (weight, combination) order."""
     n = kernel_of.cols
-    syndromes = [kernel_of.column_mask(j) for j in range(n)]
+    syndromes = gf2_oracle.columns(kernel_of)
     quotient = RowSpace(modulo)
     for w in range(1, w_max + 1):
         for comb in itertools.combinations(range(n), w):

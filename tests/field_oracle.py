@@ -29,3 +29,11 @@ def orbit_length(field: PrimePowerField, i: int) -> int:
         acc = mul(field, acc, i)
         length += 1
     return length
+
+
+def power(field: PrimePowerField, i: int, e: int) -> int:
+    """g_i to the power e >= 0, as e products."""
+    acc = 1
+    for _ in range(e):
+        acc = mul(field, acc, i)
+    return acc

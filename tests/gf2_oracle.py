@@ -1,10 +1,11 @@
 """Test-only per-bit `BinaryMatrix` text writer, transpose and alist writer:
-each entry is read one at a time with shifts and masks, so they are slow but
-independent of the word-level string and set-bit kernels in `gf2` and
-`cli`.  The text reader splits every row into tokens, the path
+each entry is read one at a time from `row_bits` with shifts and masks, so
+they are slow but independent of the word-level string and set-bit kernels
+in `gf2` and `cli`.  The text reader splits every row into tokens, the path
 `BinaryMatrix.from_text` keeps for rows outside `to_text`'s exact layout.
 `eliminate` is the column-scanning Gauss-Jordan that `gf2` used before its
-pivot-lookup kernel."""
+pivot-lookup kernel, and `kernel` tries every vector.
+The small constructors and readers at the top are the tests' conveniences."""
 import re
 from typing import Sequence
 
@@ -13,10 +14,33 @@ from paleylift.gf2 import BinaryMatrix
 _DECIMAL = re.compile("0|[1-9][0-9]*")
 
 
+def matrix(masks, cols: int) -> BinaryMatrix:
+    """The matrix whose row i is masks[i]."""
+    masks = tuple(masks)
+    return BinaryMatrix(len(masks), cols, masks)
+
+
+def identity(n: int) -> BinaryMatrix:
+    return matrix((1 << i for i in range(n)), n)
+
+
+def entry(m: BinaryMatrix, i: int, j: int) -> int:
+    return m.row_bits[i] >> j & 1
+
+
+def to_lists(m: BinaryMatrix) -> list[list[int]]:
+    return [[entry(m, i, j) for j in range(m.cols)] for i in range(m.rows)]
+
+
+def columns(m: BinaryMatrix) -> tuple[int, ...]:
+    """Each column as a mask of rows (bit i = row i), read entry by entry."""
+    return tuple(sum(entry(m, i, j) << i for i in range(m.rows)) for j in range(m.cols))
+
+
 def to_text(m: BinaryMatrix) -> str:
     lines = [f"{m.rows} {m.cols}"]
-    for i in range(m.rows):
-        lines.append(" ".join(str(b) for b in m.row(i)))
+    for row in to_lists(m):
+        lines.append(" ".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -31,7 +55,7 @@ def from_text(text: str) -> BinaryMatrix:
     data = lines[1:]
     if cols == 0 and not data:
         # rows of zero columns are written as empty lines, skipped above
-        return BinaryMatrix.zeros(rows, 0)
+        return matrix((0,) * rows, 0)
     if len(data) != rows:
         raise ValueError(f"expected {rows} data lines, found {len(data)}")
     packed = []
@@ -45,13 +69,26 @@ def from_text(text: str) -> BinaryMatrix:
 
 
 def transpose(m: BinaryMatrix) -> BinaryMatrix:
-    return BinaryMatrix(m.cols, m.rows, tuple(m.column_mask(j) for j in range(m.cols)))
+    return matrix(columns(m), m.rows)
+
+
+def kernel(m: BinaryMatrix) -> list[int]:
+    """Every vector v with M v^T = 0, ascending, found among all 2^cols of
+    them in Gray-code order: step i flips the lowest set bit of i in v, and
+    so adds one column to the syndrome."""
+    column_masks = columns(m)
+    found, syndrome = [0], 0
+    for i in range(1, 1 << m.cols):
+        syndrome ^= column_masks[(i & -i).bit_length() - 1]
+        if not syndrome:
+            found.append(i ^ i >> 1)   # v after step i
+    return sorted(found)
 
 
 def to_alist(m: BinaryMatrix) -> str:
     """MacKay alist (unpadded): columns first, 1-based indices."""
-    cols = [[i + 1 for i in range(m.rows) if m.entry(i, j)] for j in range(m.cols)]
-    rows = [[j + 1 for j in range(m.cols) if m.entry(i, j)] for i in range(m.rows)]
+    cols = [[i + 1 for i in range(m.rows) if entry(m, i, j)] for j in range(m.cols)]
+    rows = [[j + 1 for j in range(m.cols) if entry(m, i, j)] for i in range(m.rows)]
     lines = [
         f"{m.cols} {m.rows}",
         f"{max((len(c) for c in cols), default=0)} {max((len(r) for r in rows), default=0)}",

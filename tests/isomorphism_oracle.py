@@ -9,7 +9,7 @@ mapping and its node count.
 
 `backtracking` decides isomorphism independently of colour refinement: it
 tries every unused target vertex of matching degree in index order and
-checks it against each mapped vertex one adjacency lookup at a time.  It is
+checks it against each mapped vertex one neighbour-mask bit at a time.  It is
 the reference for whether two graphs are isomorphic at all."""
 from __future__ import annotations
 
@@ -31,8 +31,9 @@ def individualization_refinement(
     n = ga.vertex_count
     if n != gb.vertex_count:
         return None, 0
-    adjacency = ([[u for u in range(n) if ga.has_edge(v, u)] for v in range(n)]
-                 + [[n + u for u in range(n) if gb.has_edge(w, u)] for w in range(n)])
+    adjacency = ([[u for u in range(n) if ga.neighbours[v] >> u & 1] for v in range(n)]
+                 + [[n + u for u in range(n) if gb.neighbours[w] >> u & 1]
+                    for w in range(n)])
     nodes = 0
 
     def stable(colours: list[int]) -> list[int]:
@@ -78,11 +79,11 @@ def backtracking(ga: Graph, gb: Graph) -> Optional[tuple[int, ...]]:
     n = ga.vertex_count
     if n != gb.vertex_count or ga.edge_count != gb.edge_count:
         return None
-    if ga.degree_sequence() != gb.degree_sequence():
+    deg_a = [m.bit_count() for m in ga.neighbours]
+    deg_b = [m.bit_count() for m in gb.neighbours]
+    if sorted(deg_a) != sorted(deg_b):
         return None
 
-    deg_a = [ga.degree(v) for v in range(n)]
-    deg_b = [gb.degree(v) for v in range(n)]
     mapping = [-1] * n
     used = [False] * n
 
@@ -94,7 +95,7 @@ def backtracking(ga: Graph, gb: Graph) -> Optional[tuple[int, ...]]:
                 continue
             ok = True
             for u in range(v):
-                if ga.has_edge(u, v) != gb.has_edge(mapping[u], w):
+                if ga.neighbours[u] >> v & 1 != gb.neighbours[mapping[u]] >> w & 1:
                     ok = False
                     break
             if not ok:

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import distance_oracle
+import embedding_oracle
+import gf2_oracle
 from distance_oracle import all_roots_distance, brute_force_distance, min_row_distance
 from paleylift import css, fields, paley, voltage
 from paleylift.css import (
@@ -26,15 +28,15 @@ def multiplier_cayley_map(built: paley.PaleyGraph) -> RotationSystem:
     canonical primitive element g: a self-dual embedding of the Paley graph."""
     field, graph = built.field, built.graph
     g = fields.primitive_element(field)
-    step = field.mul(g, g)
-    connection = [field.one]
+    step = field.mul_index(g, g)
+    connection = [1]
     while len(connection) < (field.order - 1) // 2:
-        connection.append(field.mul(connection[-1], step))
+        connection.append(field.mul_index(connection[-1], step))
     rotations = []
     for x in range(field.order):
         darts = []
         for s in connection:
-            y = field.add(field.element(x), s).index
+            y = field.add_index(x, s)
             darts.append(2 * graph.edge_index[(min(x, y), max(x, y))] + (x > y))
         rotations.append(tuple(darts))
     return RotationSystem(graph, tuple(rotations))
@@ -76,7 +78,7 @@ def _toric_code(size):
 
 def _triangle_code():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    return build_code_embedding(g, RotationSystem.from_index_order(g))
+    return build_code_embedding(g, embedding_oracle.index_order_rotation(g))
 
 
 BUILDERS = {
@@ -231,6 +233,22 @@ def test_weight_one_offers_no_parallel_pair(codes):
         assert counters == SearchCounters(offers=4, membership=1)
 
 
+def test_loops_are_offered_up_to_the_first_logical():
+    # every column of a zero matrix is a loop.  The lowest loop outside the
+    # other matrix's row space is the witness, and every later candidate
+    # follows it, so no later loop is offered: one offer, not 4096
+    zeros = BinaryMatrix.zeros(1, 4096)
+    code = css.CssCode(hx=zeros, hz=zeros, n=4096, k=4096, d_lower=1, d_found=None,
+                       family="custom")
+    report = distance_search(code, 1)
+    assert report.dz_witness == report.dx_witness == (0,)
+    assert report.dz_counters == report.dx_counters == SearchCounters(offers=1, membership=1)
+    # loop 0 is in the row space of e_0, so loop 1 is offered too
+    witness, counters = css._systole_side(zeros, BinaryMatrix(1, 4096, (1,)), 1, "H_X")
+    assert witness == (1,)
+    assert counters == SearchCounters(offers=2, membership=2)
+
+
 def test_distance_search_transposes_no_matrix(codes, monkeypatch):
     # the engine reads each column's rows from bit planes of the rows
     want = {(name, w): distance_search(codes[name], w)
@@ -328,9 +346,9 @@ def _permuted(code, columns, hx_rows, hz_rows):
     """code with column j moved to columns[j] in both matrices, and the rows
     of each matrix reordered."""
     def permute(h, rows):
+        order = sorted(range(h.cols), key=columns.__getitem__)
         return BinaryMatrix.from_rows(
-            [[h.entry(i, j) for j in sorted(range(h.cols), key=columns.__getitem__)]
-             for i in rows], h.cols)
+            [[gf2_oracle.entry(h, i, j) for j in order] for i in rows], h.cols)
     return dataclasses.replace(code, hx=permute(code.hx, hx_rows),
                                hz=permute(code.hz, hz_rows))
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -6,7 +7,6 @@ import field_oracle
 from paleylift.fields import (
     FieldConstructionError,
     make_field,
-    power_table,
     primitive_element,
     quadratic_residues,
 )
@@ -40,58 +40,59 @@ def test_default_modulus_is_lex_smallest():
     assert f.modulus == (1, 0, 1)
 
 
+def generator_powers(field):
+    """[g^1, g^2, ..., g^(q-1)] for g = primitive_element(field), a
+    mul_index chain."""
+    g = primitive_element(field)
+    powers = [g]
+    while len(powers) < field.order - 1:
+        powers.append(field.mul_index(powers[-1], g))
+    return powers
+
+
 def test_gf9_element_indexing(gf9):
     # g_i = a*x + b with i = 3a + b
-    assert gf9.element(3).coeffs == (0, 1)     # x
-    assert gf9.element(7).coeffs == (1, 2)     # 2x + 1
-    assert gf9.element(0).coeffs == ()
+    assert gf9.index_to_coeffs(3) == (0, 1)     # x
+    assert gf9.index_to_coeffs(7) == (1, 2)     # 2x + 1
+    assert gf9.index_to_coeffs(0) == ()
+    assert [gf9.coeffs_to_index(gf9.index_to_coeffs(i)) for i in range(9)] == list(range(9))
 
 
 def test_gf9_square_of_generator(gf9):
-    g3 = gf9.element(3)
-    assert (g3 * g3).index == 7  # x^2 = 2x + 1 under x^2 + x + 2
+    assert gf9.mul_index(3, 3) == 7  # x^2 = 2x + 1 under x^2 + x + 2
 
 
 def test_primitive_element_gf9(gf9):
-    assert primitive_element(gf9).index == 3
+    assert primitive_element(gf9) == 3
 
 
 def test_primitive_element_small_fields():
-    assert primitive_element(make_field(3, 1)).index == 2
-    assert primitive_element(make_field(2, 1)).index == 1
+    assert primitive_element(make_field(3, 1)) == 2
+    assert primitive_element(make_field(2, 1)) == 1
 
 
 def test_power_table_gf9(gf9):
-    g3 = gf9.element(3)
-    assert [e.index for e in power_table(gf9, g3)] == [3, 7, 8, 2, 6, 5, 4, 1]
+    assert generator_powers(gf9) == [3, 7, 8, 2, 6, 5, 4, 1]
 
 
 def test_power_table_gf2_gf3():
-    f2 = make_field(2, 1)
-    assert [e.index for e in power_table(f2, f2.element(1))] == [1]
-    f3 = make_field(3, 1)
-    assert [e.index for e in power_table(f3, f3.element(2))] == [2, 1]
-
-
-def test_power_table_rejects_non_generator(gf9):
-    with pytest.raises(ValueError, match="not a generator"):
-        power_table(gf9, gf9.element(2))  # 2 has order 2
+    assert generator_powers(make_field(2, 1)) == [1]
+    assert generator_powers(make_field(3, 1)) == [2, 1]
 
 
 def test_power_table_enumerates_all_nonzero(gf9):
-    table = power_table(gf9, primitive_element(gf9))
-    indices = [e.index for e in table]
-    assert sorted(indices) == list(range(1, 9))
-    assert indices[-1] == 1  # multiplicative identity closes the cycle
+    powers = generator_powers(gf9)
+    assert sorted(powers) == list(range(1, 9))
+    assert powers[-1] == 1  # multiplicative identity closes the cycle
 
 
 def test_quadratic_residues_gf9(gf9):
-    assert {e.index for e in quadratic_residues(gf9)} == {1, 2, 5, 7}
+    assert quadratic_residues(gf9) == {1, 2, 5, 7}
 
 
 def test_quadratic_residues_small_fields():
-    assert {e.index for e in quadratic_residues(make_field(3, 1))} == {1}
-    assert {e.index for e in quadratic_residues(make_field(5, 1))} == {1, 4}
+    assert quadratic_residues(make_field(3, 1)) == {1}
+    assert quadratic_residues(make_field(5, 1)) == {1, 4}
 
 
 def test_quadratic_residues_characteristic_2_rejected():
@@ -104,35 +105,33 @@ def test_residue_set_properties(p, r):
     f = make_field(p, r)
     qr = quadratic_residues(f)
     assert len(qr) == (f.order - 1) // 2
-    indices = {e.index for e in qr}
-    assert 1 in indices  # identity is a square
+    assert 1 in qr  # identity is a square
     for a in qr:
         for b in qr:
-            assert (a * b).index in indices  # closure
+            assert f.mul_index(a, b) in qr  # closure
     # -1 is a square exactly when the order is 1 mod 4
-    minus_one = f.neg(f.one)
-    assert (minus_one.index in indices) == (f.order % 4 == 1)
+    assert (f.neg_index(1) in qr) == (f.order % 4 == 1)
 
 
 @pytest.mark.parametrize("p,r", [(2, 2), (3, 2), (2, 4), (3, 3), (5, 2), (7, 2)])
 def test_field_axioms_exhaustive(p, r):
     f = make_field(p, r)
-    elems = f.elements()
+    add, neg, mul = f.add_index, f.neg_index, f.mul_index
+    elems = range(f.order)
     for a in elems:
-        assert (a + f.zero).index == a.index
-        assert (a * f.one).index == a.index
-        assert (a + (-a)).index == 0
-        if a.index != 0:
+        assert add(a, 0) == a
+        assert mul(a, 1) == a
+        assert add(a, neg(a)) == 0
+        if a != 0:
             # inverse exists: a^(q-2) * a = 1
-            inv = f.pow(a, f.order - 2)
-            assert (a * inv).index == 1
+            assert mul(a, field_oracle.power(f, a, f.order - 2)) == 1
     for a, b in itertools.product(elems, repeat=2):
-        assert (a + b).index == (b + a).index
-        assert (a * b).index == (b * a).index
+        assert add(a, b) == add(b, a)
+        assert mul(a, b) == mul(b, a)
     for a, b, c in itertools.product(elems, repeat=3):
-        assert ((a + b) + c).index == (a + (b + c)).index
-        assert ((a * b) * c).index == (a * (b * c)).index
-        assert (a * (b + c)).index == ((a * b) + (a * c)).index
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
 
 
 def test_field_size_cap():
@@ -142,9 +141,8 @@ def test_field_size_cap():
 
 def test_discrete_log_table(gf9):
     dlog = gf9.discrete_log
-    g = primitive_element(gf9)
-    for e in range(1, 9):
-        assert dlog[gf9.pow(g, e).index] == e
+    for e, x in enumerate(generator_powers(gf9), start=1):
+        assert dlog[x] == e
 
 
 @pytest.mark.parametrize("p,r,modulus", [
@@ -156,16 +154,16 @@ def test_discrete_log_table(gf9):
 def test_table_arithmetic_matches_polynomial_oracle(p, r, modulus):
     f = make_field(p, r, modulus)
     q = f.order
-    for a in f.elements():
-        assert (-a).index == field_oracle.neg(f, a.index)
-        for b in f.elements():
-            assert (a + b).index == field_oracle.add(f, a.index, b.index)
-            assert (a * b).index == field_oracle.mul(f, a.index, b.index)
-        power = 1
-        for e in range(2 * q):  # exponents past q - 1 wrap around
-            assert f.pow(a, e).index == power
-            power = field_oracle.mul(f, power, a.index)
-        if a.index:
-            assert f.multiplicative_order(a) == field_oracle.orbit_length(f, a.index)
+    g = primitive_element(f)
+    for a in range(q):
+        assert f.neg_index(a) == field_oracle.neg(f, a)
+        for b in range(q):
+            assert f.add_index(a, b) == field_oracle.add(f, a, b)
+            assert f.mul_index(a, b) == field_oracle.mul(f, a, b)
+        if a:
+            e = f.discrete_log[a]
+            assert 1 <= e <= q - 1
+            assert field_oracle.power(f, g, e) == a
+            assert field_oracle.orbit_length(f, a) == (q - 1) // math.gcd(e, q - 1)
     generators = [i for i in range(1, q) if field_oracle.orbit_length(f, i) == q - 1]
-    assert primitive_element(f).index == generators[0]
+    assert g == generators[0]

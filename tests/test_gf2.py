@@ -11,11 +11,9 @@ from paleylift.gf2 import (
     BinaryMatrix,
     DimensionMismatch,
     RowSpace,
-    kernel_basis,
     multiply,
     rank,
     _eliminate,
-    standard_form,
 )
 
 
@@ -39,7 +37,7 @@ def naive_rank(rows):
 
 
 def test_rank_identity():
-    assert rank(BinaryMatrix.identity(2)) == 2
+    assert rank(gf2_oracle.identity(2)) == 2
 
 
 def test_rank_all_zeros():
@@ -51,76 +49,38 @@ def test_rank_paley9_incidence(paley9):
     m = graphs.incidence_matrix(paley9.graph)
     assert (m.rows, m.cols) == (9, 18)
     assert rank(m) == 8
-    assert naive_rank(m.to_lists()) == 8
+    assert naive_rank(gf2_oracle.to_lists(m)) == 8
 
+
+# The kernel tests count the kernel over every vector and check its size
+# against rank by rank-nullity: |ker M| = 2^(cols - rank M).
 
 def test_kernel_identity_empty():
-    assert kernel_basis(BinaryMatrix.identity(4)).rows == 0
+    m = gf2_oracle.identity(4)
+    assert len(gf2_oracle.kernel(m)) == 1 == 2 ** (4 - rank(m))
 
 
 def test_kernel_single_parity():
-    kb = kernel_basis(BinaryMatrix.from_rows([[1, 1]]))
-    assert kb.to_lists() == [[1, 1]]
+    m = BinaryMatrix.from_rows([[1, 1]])
+    assert gf2_oracle.kernel(m) == [0b00, 0b11]
+    assert rank(m) == 1
 
 
 def test_kernel_paley9_cycles(paley9):
     m = graphs.incidence_matrix(paley9.graph)
-    kb = kernel_basis(m)
-    assert kb.rows == 18 - 8  # |E| - |V| + 1 for a connected graph
-    for v in kb.row_bits:
-        for row in m.row_bits:
-            assert bin(row & v).count("1") % 2 == 0
-
-
-def test_standard_form_identity():
-    res = standard_form(BinaryMatrix.identity(3))
-    assert res.rank == 3
-    assert res.column_permutation == (0, 1, 2)
-    assert res.reduced == BinaryMatrix.identity(3)
-
-
-def test_standard_form_column_swap():
-    res = standard_form(BinaryMatrix.from_rows([[0, 1], [0, 1]]))
-    assert res.rank == 1
-    assert res.column_permutation == (1, 0)
-    assert res.reduced.to_lists() == [[1, 0], [0, 0]]
-
-
-def test_standard_form_permutation_reproduces_reduced():
-    m = BinaryMatrix.from_rows([[0, 1, 1, 0], [0, 1, 0, 1], [0, 0, 1, 1]])
-    res = standard_form(m)
-    # applying the recorded column permutation and re-reducing must
-    # reproduce the reduced matrix with a leading identity block
-    permuted = BinaryMatrix.from_rows(
-        [[m.entry(i, j) for j in res.column_permutation] for i in range(m.rows)]
-    )
-    re_res = standard_form(permuted)
-    assert re_res.reduced == res.reduced
-    for i in range(res.rank):
-        assert res.reduced.entry(i, i) == 1
-
-
-def test_standard_form_hx_18_2_3(paley9):
-    assert standard_form(graphs.incidence_matrix(paley9.graph)).rank == 8
-
-
-def test_standard_form_idempotent():
-    m = BinaryMatrix.from_rows([[1, 0, 1], [0, 1, 1], [1, 1, 0]])
-    first = standard_form(m)
-    second = standard_form(first.reduced)
-    assert second.rank == first.rank
-    assert second.column_permutation == tuple(range(m.cols))
+    # the cycle space: |E| - |V| + 1 dimensions for a connected graph
+    assert len(gf2_oracle.kernel(m)) == 2 ** (18 - 8) == 2 ** (m.cols - rank(m))
 
 
 def test_multiply_identity():
     m = BinaryMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
-    assert multiply(BinaryMatrix.identity(2), m) == m
+    assert multiply(gf2_oracle.identity(2), m) == m
 
 
 def test_multiply_mod2_cancellation():
     a = BinaryMatrix.from_rows([[1, 1]])
     b = BinaryMatrix.from_rows([[1], [1]])
-    assert multiply(a, b).to_lists() == [[0]]
+    assert gf2_oracle.to_lists(multiply(a, b)) == [[0]]
 
 
 def test_multiply_dimension_mismatch():
@@ -146,22 +106,18 @@ def test_multiply_matches_naive_reference():
             [sum(a_rows[i][k] * b_rows[k][j] for k in range(20)) % 2 for j in range(20)]
             for i in range(20)
         ]
-        assert multiply(a, b).to_lists() == expected
+        assert gf2_oracle.to_lists(multiply(a, b)) == expected
 
 
 def test_rank_transpose_and_kernel_dimension_exhaustive_3x3():
     # every 3x3 binary matrix: rank(M) = rank(M^T) and
-    # rank(M) + |kernel basis| = cols
+    # rank(M) + dim ker(M) = cols, the kernel counted over all 8 vectors
     for bits in range(512):
         rows = [[(bits >> (3 * i + j)) & 1 for j in range(3)] for i in range(3)]
         m = BinaryMatrix.from_rows(rows)
         r = rank(m)
         assert r == rank(m.transpose())
-        kb = kernel_basis(m)
-        assert r + kb.rows == 3
-        for v in kb.row_bits:
-            for row in m.row_bits:
-                assert bin(row & v).count("1") % 2 == 0
+        assert len(gf2_oracle.kernel(m)) == 2 ** (3 - r)
 
 
 def test_text_round_trip():
@@ -178,7 +134,7 @@ def test_text_rejects_bad_header():
 @st.composite
 def matrices(draw):
     rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 80))
-    return BinaryMatrix.from_bitmasks(
+    return gf2_oracle.matrix(
         draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows)),
         cols)
 
@@ -187,8 +143,8 @@ def matrices(draw):
 @given(m=matrices())
 @example(m=BinaryMatrix.zeros(3, 0))
 @example(m=BinaryMatrix.zeros(0, 5))
-@example(m=BinaryMatrix.identity(40))   # density 1/40: the set-bit walk
-@example(m=BinaryMatrix.from_bitmasks([(1 << 80) - 1] * 8, 80))   # the zip of strings
+@example(m=gf2_oracle.identity(40))   # density 1/40: the set-bit walk
+@example(m=gf2_oracle.matrix([(1 << 80) - 1] * 8, 80))   # the zip of strings
 def test_text_and_transpose_match_per_bit_oracles(m):
     text = m.to_text()
     assert text == gf2_oracle.to_text(m)
@@ -251,7 +207,7 @@ def perturbed_texts(draw):
     """to_text of a small matrix with a few rows, blank lines and line ends
     changed: some still parse, by the token rule, and some do not."""
     rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 6))
-    m = BinaryMatrix.from_bitmasks(
+    m = gf2_oracle.matrix(
         draw(st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows)),
         cols)
     lines = m.to_text().splitlines()
@@ -312,7 +268,7 @@ def test_row_space_sparse_reduce_matches_dense_reduction():
     rng = random.Random(7)
     for _ in range(200):
         rows, cols = rng.randint(1, 12), rng.randint(1, 40)
-        m = BinaryMatrix.from_bitmasks(
+        m = gf2_oracle.matrix(
             (rng.getrandbits(cols) & rng.getrandbits(cols) for _ in range(rows)), cols)
         space = RowSpace(m)
         reduced, pivots = _eliminate(m.row_bits)
@@ -324,7 +280,7 @@ def test_row_space_sparse_reduce_matches_dense_reduction():
                     dense ^= reduced[i]
             assert space.reduce(v) == dense
             assert space.contains(v) == (dense == 0)
-            assert space.contains(v) == (rank(BinaryMatrix.from_bitmasks(
+            assert space.contains(v) == (rank(gf2_oracle.matrix(
                 m.row_bits + (v,), cols)) == space.rank)
 
 
@@ -353,20 +309,20 @@ def eliminable(draw):
     for i in draw(st.lists(st.integers(0, max(rows - 1, 0)), max_size=4)):
         if rows:
             out[i] = draw(st.sampled_from([0, out[draw(st.integers(0, rows - 1))]]))
-    return BinaryMatrix.from_bitmasks(out, cols)
+    return gf2_oracle.matrix(out, cols)
 
 
 def _wide_sparse():
     rng = random.Random(11)
     rows = [sum(1 << rng.randrange(2400) for _ in range(3)) for _ in range(36)]
-    return BinaryMatrix.from_bitmasks(rows + [rows[0], 0, rows[5] ^ rows[9]], 2400)
+    return gf2_oracle.matrix(rows + [rows[0], 0, rows[5] ^ rows[9]], 2400)
 
 
 @settings(max_examples=300, deadline=None)
 @given(m=eliminable(), data=st.data())
 @example(m=BinaryMatrix.zeros(0, 0), data=None)
 @example(m=BinaryMatrix.zeros(6, 0), data=None)
-@example(m=BinaryMatrix.identity(40), data=None)
+@example(m=gf2_oracle.identity(40), data=None)
 @example(m=BinaryMatrix.zeros(40, 300), data=None)
 @example(m=_wide_sparse(), data=None)
 def test_eliminate_matches_column_scan_oracle(m, data):
@@ -376,8 +332,6 @@ def test_eliminate_matches_column_scan_oracle(m, data):
     fresh = BinaryMatrix(m.rows, m.cols, m.row_bits)   # no row space kept yet
     with mock.patch.object(gf2, "_eliminate",
                            lambda rows: gf2_oracle.eliminate(rows, m.cols)):
-        want = (rank(fresh), kernel_basis(m), standard_form(m),
-                [fresh.row_space.reduce(v) for v in vectors])
-    got = (rank(m), kernel_basis(m), standard_form(m),
-           [RowSpace(m).reduce(v) for v in vectors])
+        want = (rank(fresh), [fresh.row_space.reduce(v) for v in vectors])
+    got = (rank(m), [RowSpace(m).reduce(v) for v in vectors])
     assert got == want

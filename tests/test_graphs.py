@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import gf2_oracle
 import graph_oracle
 import isomorphism_oracle
 from test_distance import multiplier_cayley_map
@@ -99,8 +100,6 @@ def test_graph_matches_set_oracle(case, data):
     assert g.edge_index == {e: i for i, e in enumerate(want)}
     adj = graph_oracle.adjacency(n, want)
     assert [g.degree(v) for v in range(n)] == [len(a) for a in adj]
-    assert g.degree_sequence() == tuple(sorted(len(a) for a in adj))
-    assert all(g.has_edge(u, v) == (v in adj[u]) for u in range(n) for v in range(n))
     assert g.is_connected() == graph_oracle.is_connected(n, want)
     assert Graph.from_neighbours(g.neighbours) == g
     comp = complement(g)
@@ -159,8 +158,9 @@ def test_complement_involution(paley9):
 
 
 def test_paley9_complement_isomorphic(paley9):
-    cert = find_isomorphism(paley9.graph, complement(paley9.graph))
-    assert cert is not None and cert.verified
+    comp = complement(paley9.graph)
+    cert = find_isomorphism(paley9.graph, comp)
+    assert cert is not None and verify_isomorphism(paley9.graph, comp, cert.mapping)
 
 
 def test_isomorphism_to_self_is_identity():
@@ -273,7 +273,7 @@ def test_paley_dual_isomorphism_for_every_modulus(p, r, nodes):
         assert dual.is_simple
         assert assert_matches_oracle(dual.graph, built.graph) == nodes
         cert = find_isomorphism(dual.graph, built.graph)
-        assert cert.verified and verify_isomorphism(dual.graph, built.graph, cert.mapping)
+        assert verify_isomorphism(dual.graph, built.graph, cert.mapping)
 
 
 # t: nodes of find_isomorphism(dual, lift), and of (lift, complement)
@@ -344,31 +344,28 @@ def test_vertex_count_mod4_filter():
 
 def test_lift3_self_complementary(lift3):
     cert = is_self_complementary(lift3)
-    assert cert is not None and cert.verified
+    assert cert is not None and verify_isomorphism(lift3, complement(lift3), cert.mapping)
     assert lift3.edge_count == 16 * 15 // 4
 
 
 def test_incidence_single_edge():
     m = incidence_matrix(Graph(2, [(0, 1)]))
-    assert m.to_lists() == [[1], [1]]
+    assert gf2_oracle.to_lists(m) == [[1], [1]]
 
 
 def test_incidence_triangle():
     m = incidence_matrix(complete_graph(3))
     assert (m.rows, m.cols) == (3, 3)
-    for i in range(3):
-        assert m.row_weight(i) == 2
-    for j in range(3):
-        assert bin(m.column_mask(j)).count("1") == 2
+    assert [r.bit_count() for r in m.row_bits] == [2] * 3
+    assert [c.bit_count() for c in gf2_oracle.columns(m)] == [2] * 3
 
 
 def test_incidence_paley9(paley9):
     m = incidence_matrix(paley9.graph)
     assert (m.rows, m.cols) == (9, 18)
     assert gf2.rank(m) == 8
-    assert all(m.row_weight(i) == 4 for i in range(9))
-    for j in range(18):
-        assert bin(m.column_mask(j)).count("1") == 2
+    assert [r.bit_count() for r in m.row_bits] == [4] * 9
+    assert [c.bit_count() for c in gf2_oracle.columns(m)] == [2] * 18
 
 
 def test_incidence_rank_counts_components():
@@ -380,7 +377,7 @@ def test_incidence_rank_counts_components():
 def test_adjacency_matrix_symmetric(paley9):
     a = adjacency_matrix(paley9.graph)
     assert a == a.transpose()
-    assert all(a.entry(i, i) == 0 for i in range(a.rows))
+    assert all(gf2_oracle.entry(a, i, i) == 0 for i in range(a.rows))
 
 
 def test_json_round_trip(paley9, lift3):

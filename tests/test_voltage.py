@@ -1,5 +1,6 @@
 import pytest
 
+import gf2_oracle
 from paleylift import css, embedding, graphs
 from paleylift.voltage import (
     VoltageGraph,
@@ -119,7 +120,7 @@ def test_block_adjacency_t3_tensor_terms():
     c = term("XII") + term("IXI") + term("IIX") + term("XXX")
     d = term("IIX") + term("IXI") + term("XIX") + term("XXI")
     a = block_adjacency(3)
-    got = np.array(a.to_lists())
+    got = np.array(gf2_oracle.to_lists(a))
     assert (got[:8, :8] == b).all()
     assert (got[:8, 8:] == c).all()
     assert (got[8:, :8] == c).all()
@@ -130,15 +131,16 @@ def test_block_adjacency_structure():
     a = block_adjacency(3)
     size = 16
     assert a == a.transpose()
-    assert all(a.entry(i, i) == 0 for i in range(size))
-    total = sum(a.row_weight(i) for i in range(size))
+    entry = gf2_oracle.entry
+    assert all(entry(a, i, i) == 0 for i in range(size))
+    total = sum(r.bit_count() for r in a.row_bits)
     assert total == 2 * 60
     # B and D blocks are symmetric
     half = size // 2
     for i in range(half):
         for j in range(half):
-            assert a.entry(i, j) == a.entry(j, i)
-            assert a.entry(half + i, half + j) == a.entry(half + j, half + i)
+            assert entry(a, i, j) == entry(a, j, i)
+            assert entry(a, half + i, half + j) == entry(a, half + j, half + i)
 
 
 def test_block_adjacency_rejects_small_t():
@@ -158,21 +160,23 @@ def test_lift_single_link_identity_voltage():
 def test_lift_h4_self_complementary():
     g = lift(build_voltage_graph(4))
     cert = graphs.is_self_complementary(g, node_budget=5_000_000)
-    assert cert is not None and cert.verified
+    assert cert is not None and graphs.verify_isomorphism(g, graphs.complement(g),
+                                                          cert.mapping)
 
 
 def test_lift_h3_fiber_structure(lift3):
     # links contribute a cross edge u_g - v_(g^a) for each odd-weight a
     vg = build_voltage_graph(3)
+    nb = lift3.neighbours
     for a in vg.links:
         for g in range(8):
-            assert lift3.has_edge(g, 8 + (g ^ a))
+            assert nb[g] >> (8 + (g ^ a)) & 1
     for a in vg.half_edges_u:
         for g in range(8):
-            assert lift3.has_edge(g, g ^ a)
+            assert nb[g] >> (g ^ a) & 1
     for a in vg.half_edges_v:
         for g in range(8):
-            assert lift3.has_edge(8 + g, 8 + (g ^ a))
+            assert nb[8 + g] >> (8 + (g ^ a)) & 1
 
 
 @pytest.mark.parametrize("t", [3, 4, 5])
@@ -190,4 +194,5 @@ def test_derived_embedding_is_self_dual(t):
     assert dual.is_simple
     if t <= 4:
         cert = graphs.find_isomorphism(dual.graph, rotation.graph)
-        assert cert is not None and cert.verified
+        assert cert is not None and graphs.verify_isomorphism(dual.graph, rotation.graph,
+                                                              cert.mapping)
