@@ -18,10 +18,11 @@ import hashlib
 import json
 import sys
 import time
+from itertools import compress
 from pathlib import Path
 
 from . import css, embedding, fields, graphs, paley, voltage
-from .gf2 import BinaryMatrix
+from .gf2 import BinaryMatrix, bit_flags
 from .graphs import SearchBudgetExceeded
 
 EXIT_OK = 0
@@ -50,22 +51,16 @@ def _write_manifest(out_dir: Path, argv: list[str], inputs: list[Path],
     )
 
 
-def _ones(bits: int) -> list[int]:
-    """1-based positions of the set bits, ascending."""
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length())
-        bits ^= low
-    return out
-
-
 def _matrix_to_alist(m: BinaryMatrix) -> str:
     """MacKay alist export (unpadded): columns first, 1-based indices.
-    O(rows + cols + nonzeros) word operations, the columns read off the
-    transpose."""
-    cols = [_ones(c) for c in m.transpose().row_bits]
-    rows = [_ones(r) for r in m.row_bits]
+    Each row's list is one compress over its bit_flags; the columns' lists
+    are then filled from the rows', in O(nonzeros) appends."""
+    positions = list(range(1, m.cols + 1))
+    rows = [list(compress(positions, bit_flags(r, m.cols))) for r in m.row_bits]
+    cols: list[list[int]] = [[] for _ in positions]
+    for i, row in enumerate(rows, 1):
+        for j in row:
+            cols[j - 1].append(i)
     lines = [
         f"{m.cols} {m.rows}",
         f"{max((len(c) for c in cols), default=0)} {max((len(r) for r in rows), default=0)}",

@@ -13,7 +13,7 @@ from itertools import compress
 from pathlib import Path
 from typing import Optional
 
-from .gf2 import BinaryMatrix
+from .gf2 import BinaryMatrix, bit_flags
 from .graphs import Graph, incidence_matrix
 from .embedding import RotationSystem, face_edge_matrix, homology_ranks, trace_faces
 
@@ -91,13 +91,7 @@ class DistanceReport:
     dx_counters: SearchCounters = field(default_factory=SearchCounters, compare=False)
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 _UNSIGNED = {1: "B", 2: "H", 4: "I", 8: "Q"}   # array typecodes by item size
-
-
-def _bit_bytes(bits: int, cols: int) -> bytes:
-    """One byte per column j < cols: 1 where bit j of bits is set, else 0."""
-    return bin(bits | 1 << cols)[:2:-1].encode().translate(_BIT_BYTES)
 
 
 def _columns(h: BinaryMatrix, name: str, ends: bool) -> tuple[list[int], list[int]]:
@@ -136,7 +130,7 @@ def _columns(h: BinaryMatrix, name: str, ends: bool) -> tuple[list[int], list[in
         raise ValueError(f"{name} column {j} has weight {weight}; the distance "
                          f"engine needs a surface code (column weights 0 or 2)")
     unseen = ((1 << h.cols) - 1) ^ seen
-    loops = list(compress(range(h.cols), _bit_bytes(unseen, h.cols))) if unseen else []
+    loops = list(compress(range(h.cols), bit_flags(unseen, h.cols))) if unseen else []
     return loops, _column_numbers(low + high, h.cols) if ends else []
 
 
@@ -148,7 +142,7 @@ def _column_numbers(planes: list[int], cols: int) -> list[int]:
     size = next(s for s in (1, 2, 4, 8) if len(planes) <= 8 * s)
     packed = 0
     for k, plane in enumerate(planes):
-        spread = _bit_bytes(plane, cols)
+        spread = bit_flags(plane, cols)
         if size > 1:
             spread, fields = bytearray(size * cols), spread
             spread[::size] = fields

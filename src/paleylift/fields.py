@@ -163,11 +163,11 @@ class PrimePowerField:
         """Index of g_i * g_j, read from the exp/log tables."""
         if i == 0 or j == 0:
             return 0
-        exp, log = self._exp_log
+        exp, log = self.exp_log
         return exp[(log[i] + log[j]) % len(exp)]
 
     @cached_property
-    def _exp_log(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def exp_log(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """exp[e] is the index of g^e for e < q-1, and log[exp[e]] = e.
 
         g is the canonical primitive element: the smallest index whose
@@ -187,14 +187,6 @@ class PrimePowerField:
                     log[i] = e
                 return tuple(exp), tuple(log)
         raise AssertionError("no generator found")  # unreachable for a field
-
-    @cached_property
-    def discrete_log(self) -> dict[int, int]:
-        """Map element index -> exponent of the canonical primitive element,
-        in 1..q-1 (so the identity maps to q-1)."""
-        exp, _ = self._exp_log
-        n = len(exp)
-        return {exp[e % n]: e for e in range(1, n + 1)}
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.r}, modulus={_poly_str(self.modulus)})"
@@ -236,7 +228,7 @@ def make_field(p: int, r: int, modulus: tuple[int, ...] | None = None) -> PrimeP
 def primitive_element(field: PrimePowerField) -> int:
     """Index of the canonical primitive element: the smallest index that
     generates the multiplicative group."""
-    exp, _ = field._exp_log
+    exp, _ = field.exp_log
     return exp[1 % len(exp)]
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 # A header count as to_text writes it: no sign, no "_", no leading zero.
 _DECIMAL = re.compile("0|[1-9][0-9]*")
@@ -20,6 +20,16 @@ _DECIMAL = re.compile("0|[1-9][0-9]*")
 # the 523,776 edges of the complete graph on graphs.MAX_VERTICES vertices,
 # the most columns a code built from a graph can have.
 MAX_EMPTY_SIDE = 1 << 20
+
+
+_FLAG_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def bit_flags(bits: int, width: int) -> bytes:
+    """One byte per bit j < width of bits, lowest first: 1 where the bit is
+    set and 0 where it is clear; a selector for itertools.compress.  bits
+    must be below 1 << width."""
+    return bin(bits | 1 << width)[:2:-1].encode().translate(_FLAG_BYTES)
 
 
 class DimensionMismatch(ValueError):
@@ -45,32 +55,6 @@ class BinaryMatrix:
         for i, r in enumerate(self.row_bits):
             if r < 0 or r >> cols:
                 raise ValueError(f"row {i} has bits outside column range 0..{self.cols - 1}")
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]], cols: int | None = None) -> "BinaryMatrix":
-        """Build from an iterable of 0/1 sequences."""
-        packed = []
-        width = cols
-        for row in rows:
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ValueError(f"ragged rows: {len(row)} != {width}")
-            bits = 0
-            for j, v in enumerate(row):
-                if v not in (0, 1):
-                    raise ValueError(f"entry {v!r} is not a bit")
-                bits |= v << j
-            packed.append(bits)
-        if width is None:
-            raise ValueError("cannot infer column count from an empty iterable")
-        return cls(len(packed), width, tuple(packed))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BinaryMatrix":
-        return cls(rows, cols, (0,) * rows)
 
     # -- transpose and row space -------------------------------------------
 
@@ -135,7 +119,7 @@ class BinaryMatrix:
         data = lines[1:]
         if cols == 0 and not data:
             # rows of zero columns are written as empty lines, skipped above
-            return cls.zeros(rows, 0)
+            return cls(rows, 0, (0,) * rows)
         if len(data) != rows:
             raise ValueError(f"expected {rows} data lines, found {len(data)}")
         packed = []

@@ -14,7 +14,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
-from .gf2 import BinaryMatrix
+from .gf2 import BinaryMatrix, bit_flags
 
 DEFAULT_NODE_BUDGET = 10**8
 
@@ -35,15 +35,6 @@ def require_vertex_count(base: int, exponent: int) -> None:
 
 class SearchBudgetExceeded(RuntimeError):
     """A bounded search ran out of nodes; the question is undecided."""
-
-
-_FLAG_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _flags(bits: int) -> bytes:
-    """One byte per bit of bits, lowest first: 1 where the bit is set and 0
-    where it is clear, up to the highest set bit; a selector for compress."""
-    return bin(bits)[:1:-1].encode().translate(_FLAG_BYTES)
 
 
 class Graph:
@@ -70,22 +61,11 @@ class Graph:
         self.neighbours: tuple[int, ...] = tuple(int(row[::-1], 2) for row in rows)
 
     @classmethod
-    def from_neighbours(cls, masks: Iterable[int]) -> "Graph":
-        """The graph whose vertex u has neighbour mask masks[u].  The masks
-        must be in range, free of loop bits and symmetric, or ValueError."""
-        masks = tuple(masks)
-        n = len(masks)
-        matrix = BinaryMatrix(n, n, masks)   # rejects negative and out-of-range masks
-        for u, m in enumerate(masks):
-            if m >> u & 1:
-                raise ValueError(f"self-loop at vertex {u}")
-        if matrix.transpose() != matrix:
-            raise ValueError("neighbour masks are not symmetric")
-        return cls._of_masks(masks)
-
-    @classmethod
-    def _of_masks(cls, masks: tuple[int, ...]) -> "Graph":
-        """The graph of neighbour masks already known to be valid."""
+    def of_masks(cls, masks: tuple[int, ...]) -> "Graph":
+        """The graph whose vertex u has neighbour mask masks[u], unchecked:
+        the masks must be symmetric, free of loop bits and below
+        1 << len(masks), as the builders' constructions make them.  Edges
+        from outside go through Graph(vertex_count, edges)."""
         graph = cls.__new__(cls)
         graph.vertex_count = len(masks)
         graph.neighbours = masks
@@ -96,7 +76,7 @@ class Graph:
         n = self.vertex_count
         out = []
         for u, m in enumerate(self.neighbours):
-            out.extend(zip(repeat(u), compress(range(u + 1, n), _flags(m >> u + 1))))
+            out.extend(zip(repeat(u), compress(range(u + 1, n), bit_flags(m >> u + 1, n - u - 1))))
         return tuple(out)
 
     @cached_property
@@ -170,8 +150,8 @@ def complement(graph: Graph) -> Graph:
     """The complement; its masks are symmetric and loop-free because the
     graph's are, so they are not checked again."""
     full = (1 << graph.vertex_count) - 1
-    return Graph._of_masks(tuple(full & ~m & ~(1 << u)
-                                 for u, m in enumerate(graph.neighbours)))
+    return Graph.of_masks(tuple(full & ~m & ~(1 << u)
+                                for u, m in enumerate(graph.neighbours)))
 
 
 @dataclass
@@ -230,7 +210,7 @@ def find_isomorphism(
         """Every vertex's number of neighbours in splitter, bit-sliced: bit
         k of x's count is bit x of plane k."""
         planes: list[int] = []
-        for x in compress(vertices, _flags(splitter)):
+        for x in compress(vertices, bit_flags(splitter, n)):
             carry = neighbours[x]
             for k, plane in enumerate(planes):
                 planes[k], carry = plane ^ carry, plane & carry
@@ -309,7 +289,7 @@ def find_isomorphism(
         nonlocal nodes
         _, v, i = min((a.bit_count(), a & -a, i) for i, (a, _) in enumerate(cells.open))
         cell_a, cell_b = cells.open[i]
-        for w in compress(vertices, _flags(cell_b)):
+        for w in compress(vertices, bit_flags(cell_b, n)):
             nodes += 1
             if nodes > node_budget:
                 raise SearchBudgetExceeded(
@@ -403,7 +383,8 @@ def graph_to_json(graph: Graph) -> str:
         above = m >> u + 1
         if above:
             head = "[" + names[u] + ","
-            rows.append(head + ("]," + head).join(compress(names[u + 1:], _flags(above))) + "]")
+            flags = bit_flags(above, n - u - 1)
+            rows.append(head + ("]," + head).join(compress(names[u + 1:], flags)) + "]")
     return '{"edges":[' + ",".join(rows) + '],"vertex_count":' + str(n) + "}\n"
 
 

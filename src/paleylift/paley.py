@@ -39,7 +39,9 @@ def build_paley(field: PrimePowerField) -> PaleyGraph:
         for x in range(place, place * p):
             prev = masks[x - place]
             masks.append((prev & up) << place | (prev & ~up) >> (p - 1) * place)
-    graph = Graph.from_neighbours(masks)
+    # S = -S makes the masks symmetric, 0 not in S leaves no loop bit, and
+    # the digit shifts keep every bit below m: of_masks's precondition
+    graph = Graph.of_masks(tuple(masks))
     expected_degree = (m - 1) // 2
     if any(graph.degree(v) != expected_degree for v in range(m)):
         raise AssertionError("Paley graph is not (m-1)/2-regular; arithmetic bug")
@@ -51,8 +53,8 @@ def smallest_nonresidue(field: PrimePowerField) -> int:
     characteristic, the first index with an odd discrete logarithm."""
     if field.p == 2:
         raise ValueError("every element of a field of characteristic 2 is a square")
-    dlog = field.discrete_log
-    return next(i for i in range(1, field.order) if dlog[i] % 2)
+    _, log = field.exp_log
+    return next(i for i in range(1, field.order) if log[i] % 2)
 
 
 def verify_self_complementary_via_multiplier(paley: PaleyGraph) -> IsomorphismCertificate:

@@ -42,6 +42,9 @@ class VoltageGraph:
         for a in self.links + self.half_edges_u + self.half_edges_v:
             if not 0 <= a < (1 << self.t):
                 raise ValueError(f"voltage {a} outside Z_2^{self.t}")
+        for voltages in (self.links, self.half_edges_u, self.half_edges_v):
+            if len(set(voltages)) != len(voltages):
+                raise ValueError(f"repeated voltage in {voltages}: parallel edges")
 
 
 def build_voltage_graph(t: int) -> VoltageGraph:
@@ -63,23 +66,18 @@ def lift(vg: VoltageGraph) -> Graph:
 
     Vertices: u_g -> g and v_g -> 2^t + g.  A link with voltage a yields
     edges {u_g, v_(g^a)} for every g; a half edge at a vertex with voltage
-    a yields the perfect matching {w_g, w_(g^a)} inside that fiber (every
-    voltage is an involution, so each unordered pair appears once).
+    a yields the perfect matching {w_g, w_(g^a)} inside that fiber.  So u_g's
+    mask holds v_(g^a) per link a and u_(g^a) per half edge a at u, and v_g's
+    likewise; they are symmetric as every voltage is an involution, and
+    loop-free as no half edge's voltage is 0.
     """
     size = 1 << vg.t
-    edges = []
-    for a in vg.links:
-        for g in range(size):
-            edges.append((g, size + (g ^ a)))
-    for a in vg.half_edges_u:
-        for g in range(size):
-            if g < g ^ a:
-                edges.append((g, g ^ a))
-    for a in vg.half_edges_v:
-        for g in range(size):
-            if g < g ^ a:
-                edges.append((size + g, size + (g ^ a)))
-    return Graph(2 * size, edges)
+    u_masks, v_masks = [], []
+    for g in range(size):
+        links = sum(1 << (g ^ a) for a in vg.links)
+        u_masks.append(links << size | sum(1 << (g ^ a) for a in vg.half_edges_u))
+        v_masks.append(links | sum(1 << (g ^ a) for a in vg.half_edges_v) << size)
+    return Graph.of_masks(tuple(u_masks + v_masks))
 
 
 def derived_embedding(vg: VoltageGraph) -> RotationSystem:
@@ -153,4 +151,6 @@ def block_adjacency(t: int) -> BinaryMatrix:
     if not np.all((full == 0) | (full == 1)):
         raise ArithmeticError("block adjacency has entries outside {0,1}; "
                               "formula transcription bug")
-    return BinaryMatrix.from_rows(full.tolist())
+    packed = np.packbits(full.astype(np.uint8), axis=1, bitorder="little")
+    return BinaryMatrix(len(full), len(full), tuple(
+        int.from_bytes(row.tobytes(), "little") for row in packed))

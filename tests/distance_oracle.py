@@ -15,9 +15,9 @@ The min-row engine roots each cycle at its lowest row, as the engine does,
 but searches every root to w_max, where the engine bounds each root by its
 incumbent witness.
 
-Both read their graph from `columns` and `adjacency`: the columns of the
-transposed matrix, one at a time, where the engine reads every column at
-once from bit planes of the rows (`css._columns`).
+Both read their graph from `columns` and `adjacency`: the columns read
+entry by entry (`gf2_oracle.columns`), one at a time, where the engine
+reads every column at once from bit planes of the rows (`css._columns`).
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ def columns(h: BinaryMatrix, name: str) -> tuple[
     columns: the columns as row masks, the loops (columns of weight 0), and
     the parallel edges, (i, j) for each column j equal to an earlier one, i
     the lowest column equal to it."""
-    masks = h.transpose().row_bits
+    masks = gf2_oracle.columns(h)
     loops, parallel = [], []
     first: dict[int, int] = {}   # column value -> its lowest column index
     for j, column in enumerate(masks):

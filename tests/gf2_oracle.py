@@ -20,6 +20,18 @@ def matrix(masks, cols: int) -> BinaryMatrix:
     return BinaryMatrix(len(masks), cols, masks)
 
 
+def from_rows(rows) -> BinaryMatrix:
+    """The matrix of a non-empty list of equally long 0/1 lists."""
+    width = len(rows[0])
+    if any(len(row) != width or set(row) - {0, 1} for row in rows):
+        raise ValueError("rows must be equally long lists of 0 and 1")
+    return matrix((sum(v << j for j, v in enumerate(row)) for row in rows), width)
+
+
+def zeros(rows: int, cols: int) -> BinaryMatrix:
+    return BinaryMatrix(rows, cols, (0,) * rows)
+
+
 def identity(n: int) -> BinaryMatrix:
     return matrix((1 << i for i in range(n)), n)
 

@@ -178,13 +178,13 @@ def test_criterion_8_homology_cross_check(paley9, paley9_rotation):
         )
         assert beta1 == 2 * faces.genus == 0
         # 2x2 toric layout (multigraph tiling, matrices written directly)
-        hx = gf2.BinaryMatrix.from_rows([
+        hx = gf2_oracle.from_rows([
             [1, 1, 0, 0, 1, 0, 1, 0],
             [1, 1, 0, 0, 0, 1, 0, 1],
             [0, 0, 1, 1, 1, 0, 1, 0],
             [0, 0, 1, 1, 0, 1, 0, 1],
         ])
-        hz = gf2.BinaryMatrix.from_rows([
+        hz = gf2_oracle.from_rows([
             [1, 0, 1, 0, 1, 1, 0, 0],
             [0, 1, 0, 1, 1, 1, 0, 0],
             [1, 0, 1, 0, 0, 0, 1, 1],
@@ -209,7 +209,7 @@ def test_criterion_9_property_suites(gf9):
         for bits in range(512):
             rows = [[(bits >> (3 * i + j)) & 1 for j in range(3)]
                     for i in range(3)]
-            m = gf2.BinaryMatrix.from_rows(rows)
+            m = gf2_oracle.from_rows(rows)
             r = gf2.rank(m)
             assert r == gf2.rank(m.transpose())
             assert len(gf2_oracle.kernel(m)) == 2 ** (3 - r)

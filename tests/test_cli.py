@@ -14,7 +14,6 @@ import gf2_oracle
 from test_gf2 import matrices
 from paleylift import css, gf2, graphs
 from paleylift.cli import _matrix_to_alist, main
-from paleylift.gf2 import BinaryMatrix
 
 DATA = Path(__file__).parent / "data"
 
@@ -265,6 +264,19 @@ def test_each_command_eliminates_each_matrix_at_most_once(tmp_path, monkeypatch)
     assert eliminations("verify", bundle) == 2
 
 
+def test_builders_transpose_nothing(tmp_path, monkeypatch):
+    """paley and lift, without --format alist, hand their graphs the masks
+    and rows they compute: nothing is transposed to check symmetry."""
+    def transpose(self):
+        raise AssertionError("transpose called")
+
+    monkeypatch.setattr(gf2.BinaryMatrix, "transpose", transpose)
+    for p, r in ((3, 2), (17, 1), (5, 2), (7, 2), (3, 4), (97, 1)):
+        assert run("paley", p, r, "--out", tmp_path / f"paley{p ** r}") == 0
+    for t in range(3, 7):
+        assert run("lift", t, "--out", tmp_path / f"lift{t}") == 0
+
+
 def test_code_requires_exactly_one_mode(tmp_path):
     paley_dir = tmp_path / "p"
     assert run("paley", 3, 2, "--out", paley_dir) == 0
@@ -416,8 +428,8 @@ def test_alist_export(tmp_path):
 
 @settings(max_examples=300, deadline=None)
 @given(m=matrices())
-@example(m=BinaryMatrix.zeros(3, 0))
-@example(m=BinaryMatrix.zeros(0, 5))
+@example(m=gf2_oracle.zeros(3, 0))
+@example(m=gf2_oracle.zeros(0, 5))
 def test_alist_matches_per_entry_oracle(m):
     assert _matrix_to_alist(m) == gf2_oracle.to_alist(m)
 

@@ -237,7 +237,7 @@ def test_loops_are_offered_up_to_the_first_logical():
     # every column of a zero matrix is a loop.  The lowest loop outside the
     # other matrix's row space is the witness, and every later candidate
     # follows it, so no later loop is offered: one offer, not 4096
-    zeros = BinaryMatrix.zeros(1, 4096)
+    zeros = gf2_oracle.zeros(1, 4096)
     code = css.CssCode(hx=zeros, hz=zeros, n=4096, k=4096, d_lower=1, d_found=None,
                        family="custom")
     report = distance_search(code, 1)
@@ -347,8 +347,8 @@ def _permuted(code, columns, hx_rows, hz_rows):
     of each matrix reordered."""
     def permute(h, rows):
         order = sorted(range(h.cols), key=columns.__getitem__)
-        return BinaryMatrix.from_rows(
-            [[gf2_oracle.entry(h, i, j) for j in order] for i in rows], h.cols)
+        return gf2_oracle.from_rows(
+            [[gf2_oracle.entry(h, i, j) for j in order] for i in rows])
     return dataclasses.replace(code, hx=permute(code.hx, hx_rows),
                                hz=permute(code.hz, hz_rows))
 

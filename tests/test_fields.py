@@ -140,9 +140,13 @@ def test_field_size_cap():
 
 
 def test_discrete_log_table(gf9):
-    dlog = gf9.discrete_log
+    # g^e for e = 1..8, the last being 1 = g^0: the log table holds e mod 8,
+    # and the exp table inverts it
+    exp, log = gf9.exp_log
+    assert len(exp) == 8 and len(log) == 9
     for e, x in enumerate(generator_powers(gf9), start=1):
-        assert dlog[x] == e
+        assert log[x] == e % 8
+        assert exp[e % 8] == x
 
 
 @pytest.mark.parametrize("p,r,modulus", [
@@ -161,8 +165,8 @@ def test_table_arithmetic_matches_polynomial_oracle(p, r, modulus):
             assert f.add_index(a, b) == field_oracle.add(f, a, b)
             assert f.mul_index(a, b) == field_oracle.mul(f, a, b)
         if a:
-            e = f.discrete_log[a]
-            assert 1 <= e <= q - 1
+            e = f.exp_log[1][a]
+            assert 0 <= e < q - 1 and f.exp_log[0][e] == a
             assert field_oracle.power(f, g, e) == a
             assert field_oracle.orbit_length(f, a) == (q - 1) // math.gcd(e, q - 1)
     generators = [i for i in range(1, q) if field_oracle.orbit_length(f, i) == q - 1]

@@ -40,17 +40,6 @@ def test_graph_validation():
         Graph(2, [(0, 2)])
 
 
-@pytest.mark.parametrize("masks, match", [
-    ((0b10, 0b00), "not symmetric"),      # 0 -> 1 without 1 -> 0
-    ((0b01, 0b00), "self-loop"),          # bit 0 of vertex 0
-    ((0b110, 0b001), "outside"),          # bit 2 of a 2-vertex graph
-    ((-2, 0b01), "outside"),
-])
-def test_from_neighbours_rejects_bad_masks(masks, match):
-    with pytest.raises(ValueError, match=match):
-        Graph.from_neighbours(masks)
-
-
 @st.composite
 def edge_lists(draw):
     """(vertex_count, edges) on at most 12 vertices: a simple graph with each
@@ -101,7 +90,6 @@ def test_graph_matches_set_oracle(case, data):
     adj = graph_oracle.adjacency(n, want)
     assert [g.degree(v) for v in range(n)] == [len(a) for a in adj]
     assert g.is_connected() == graph_oracle.is_connected(n, want)
-    assert Graph.from_neighbours(g.neighbours) == g
     comp = complement(g)
     assert comp.edges == graph_oracle.complement(n, want)
     assert comp.neighbours == graph_oracle.masks(n, comp.edges)

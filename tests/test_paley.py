@@ -30,10 +30,8 @@ def test_fixture_file_matches_transcribed_matrix():
     # ties the byte-for-byte CLI fixture to the hand-transcribed rows
     from pathlib import Path
 
-    from paleylift.gf2 import BinaryMatrix
-
     fixture = Path(__file__).parent / "data" / "paley9_adjacency.txt"
-    expected = BinaryMatrix.from_rows(REFERENCE_ADJACENCY).to_text()
+    expected = gf2_oracle.from_rows(REFERENCE_ADJACENCY).to_text()
     assert fixture.read_text() == expected
 
 

@@ -16,8 +16,6 @@ SRC = Path(paleylift.__file__).resolve().parent
 NEVER_ENTERED = {
     "fields.PrimePowerField.add_index":
         "ROADMAP item 2's Paley map lists the neighbours x + 1, x + l, ... of x",
-    "fields.PrimePowerField.discrete_log":
-        "smallest_nonresidue reads it; the benchmark's multiplier certificate",
     "fields.PrimePowerField.__repr__": "the field's repr, for debugging",
     "fields._poly_str": "names a modulus in an error message and in __repr__",
     "paley.smallest_nonresidue": "the benchmark's multiplier certificate, and item 2",
@@ -28,7 +26,6 @@ NEVER_ENTERED = {
     "graphs.complement": "the benchmark's certificate stage, and item 2",
     "graphs.is_self_complementary":
         "the benchmark's certificate stage; leaves src with the searches (item 5)",
-    "gf2.BinaryMatrix.zeros": "from_text's branch for a matrix of no columns",
     "cli._usage_error": "the error path of every command",
 }
 

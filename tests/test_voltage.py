@@ -1,6 +1,7 @@
 import pytest
 
 import gf2_oracle
+import graph_oracle
 from paleylift import css, embedding, graphs
 from paleylift.voltage import (
     VoltageGraph,
@@ -75,6 +76,15 @@ def test_half_edge_zero_voltage_rejected():
         VoltageGraph(t=3, links=(1,), half_edges_u=(0,), half_edges_v=(1,))
 
 
+@pytest.mark.parametrize("links, half_u, half_v", [
+    ((1, 1), (), ()), ((1,), (2, 2), ()), ((1,), (), (3, 3))])
+def test_repeated_voltage_rejected(links, half_u, half_v):
+    # the lift would hold the same edge twice; summed into masks, its bits
+    # would carry into other vertices
+    with pytest.raises(ValueError, match="parallel edges"):
+        VoltageGraph(t=2, links=links, half_edges_u=half_u, half_edges_v=half_v)
+
+
 def test_lift_h3_size(lift3):
     assert lift3.vertex_count == 16
     assert lift3.edge_count == 60
@@ -96,9 +106,23 @@ def test_lift_edge_count_formula():
         assert g.edge_count == m * (m - 1) // 4
 
 
+def definition_edges(vg):
+    """The lift's edges as the voltage definition lists them: {u_g, v_(g^a)}
+    for each link a, and {w_g, w_(g^a)} once per pair for each half edge a
+    at w."""
+    size = 1 << vg.t
+    edges = [(g, size + (g ^ a)) for a in vg.links for g in range(size)]
+    for offset, half_edges in ((0, vg.half_edges_u), (size, vg.half_edges_v)):
+        edges += [(offset + g, offset + (g ^ a))
+                  for a in half_edges for g in range(size) if g < g ^ a]
+    return edges
+
+
 def test_block_adjacency_matches_lift():
-    for t in (3, 4, 5):
-        g = lift(build_voltage_graph(t))
+    for t in range(3, 8):
+        vg = build_voltage_graph(t)
+        g = lift(vg)
+        assert g.neighbours == graph_oracle.masks(2 << t, definition_edges(vg))
         assert block_adjacency(t) == graphs.adjacency_matrix(g)
 
 
