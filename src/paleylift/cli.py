@@ -83,7 +83,7 @@ def _parse_modulus(text: str) -> tuple[int, ...]:
 
 def _read_witness(path: Path) -> tuple[str, int, tuple[int, ...]]:
     """(side, weight, support) of a witness file; ValueError if malformed."""
-    payload = json.loads(path.read_text())
+    payload = graphs.parse_json(path.read_text())
     if not isinstance(payload, dict) or payload.get("side") not in ("Z", "X"):
         raise ValueError("witness needs side Z or X")
     weight, support = payload.get("weight"), payload.get("support")

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional
 
 from .gf2 import BinaryMatrix, bit_flags
-from .graphs import Graph, incidence_matrix
+from .graphs import Graph, incidence_matrix, parse_json
 from .embedding import RotationSystem, face_edge_matrix, homology_ranks, trace_faces
 
 DEFAULT_ENUMERATION_BUDGET = 10**9
@@ -468,7 +468,7 @@ def read_bundle(directory: str | Path) -> CssCode:
     directory = Path(directory)
     hx = BinaryMatrix.from_text((directory / "hx.txt").read_text())
     hz = BinaryMatrix.from_text((directory / "hz.txt").read_text())
-    payload = json.loads((directory / "code.json").read_text())
+    payload = parse_json((directory / "code.json").read_text())
     if not isinstance(payload, dict) or not isinstance(payload.get("family"), str):
         raise ValueError("code.json must be an object with a string family")
     n = _json_int(payload, "n")

@@ -16,9 +16,11 @@ from pathlib import Path
 from typing import Optional
 
 from .gf2 import BinaryMatrix, multiply, rank
-from .graphs import Graph, SearchBudgetExceeded, find_isomorphism, is_int_pair
+from .graphs import Graph, SearchBudgetExceeded, find_isomorphism, parse_json
 
 DEFAULT_SEARCH_BUDGET = 50_000_000
+
+_NOT_ROTATIONS = "rotations must be a list of [[edge, end], ...] lists with end 0 or 1"
 
 
 def incident_darts(graph: Graph) -> list[list[int]]:
@@ -308,17 +310,28 @@ def rotation_to_json(rs: RotationSystem) -> str:
 
 
 def rotation_from_json(text: str, graph: Graph) -> RotationSystem:
-    """Parse rotation JSON for graph; any malformed content raises ValueError."""
-    payload = json.loads(text)
+    """Parse rotation JSON for graph; any malformed content raises
+    ValueError.  Each dart [edge, end] is checked as it is read, and
+    RotationSystem then checks that each rotation permutes its darts."""
+    payload = parse_json(text)
     rots = payload.get("rotations") if isinstance(payload, dict) else None
-    if not isinstance(rots, list) or not all(
-            isinstance(rot, list)
-            and all(is_int_pair(d) and d[1] in (0, 1) for d in rot)
-            for rot in rots):
-        raise ValueError("rotations must be a list of [[edge, end], ...] lists "
-                         "with end 0 or 1")
-    rotations = tuple(tuple(2 * e + end for e, end in rot) for rot in rots)
-    return RotationSystem(graph=graph, rotations=rotations)
+    if not isinstance(rots, list):
+        raise ValueError(_NOT_ROTATIONS)
+    rotations = []
+    for rot in rots:
+        if not isinstance(rot, list):
+            raise ValueError(_NOT_ROTATIONS)
+        darts = []
+        for dart in rot:
+            try:
+                e, end = dart
+            except (TypeError, ValueError):
+                raise ValueError(_NOT_ROTATIONS) from None
+            if type(e) is not int or type(end) is not int or end not in (0, 1):
+                raise ValueError(_NOT_ROTATIONS)
+            darts.append(2 * e + end)
+        rotations.append(tuple(darts))
+    return RotationSystem(graph=graph, rotations=tuple(rotations))
 
 
 def write_rotation(rs: RotationSystem, path: str | Path) -> None:

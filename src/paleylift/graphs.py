@@ -23,6 +23,8 @@ DEFAULT_NODE_BUDGET = 10**8
 # families have about n^2 / 4 edges, the columns of their codes.
 MAX_VERTICES = 1 << 10
 
+_NOT_PAIRS = "edges must be a list of [u, v] integer pairs"
+
 
 def require_vertex_count(base: int, exponent: int) -> None:
     """Raise ValueError if a graph on base^exponent vertices exceeds
@@ -42,13 +44,21 @@ class Graph:
     edge.  The edges, sorted as (u, v) with u < v, are read off the masks."""
 
     def __init__(self, vertex_count: int, edges: Iterable[tuple[int, int]]):
-        """Check and store the edges.  Each is set as two bytes of the
+        """Check and store the edges in one pass.  Each edge must be a pair
+        of ints (bools and floats excluded), no loop, in range and new; the
+        first that fails names the error.  Each is set as two bytes of the
         "0"/"1" rows below, so an edge costs O(1) whatever vertex_count is;
         each row, reversed, is then read as one binary numeral."""
         if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
         rows = [bytearray(b"0" * vertex_count) for _ in range(vertex_count)]
-        for u, v in edges:
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise ValueError(_NOT_PAIRS) from None
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(_NOT_PAIRS)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
@@ -366,10 +376,13 @@ def adjacency_matrix(graph: Graph) -> BinaryMatrix:
 
 # -- JSON persistence --------------------------------------------------------
 
-def is_int_pair(value: object) -> bool:
-    """True for a JSON list of exactly two integers (booleans excluded)."""
-    return (isinstance(value, list) and len(value) == 2
-            and type(value[0]) is int and type(value[1]) is int)
+def parse_json(text: str) -> object:
+    """json.loads, with nesting too deep for the decoder's recursion
+    raised as ValueError like any other malformed input."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to decode") from None
 
 
 def graph_to_json(graph: Graph) -> str:
@@ -389,17 +402,18 @@ def graph_to_json(graph: Graph) -> str:
 
 
 def graph_from_json(text: str) -> Graph:
-    """Parse graph JSON; any malformed content, and a vertex_count above
-    MAX_VERTICES, raises ValueError before the graph is built."""
-    payload = json.loads(text)
+    """Parse graph JSON; any malformed content raises ValueError.  A
+    vertex_count above MAX_VERTICES is refused before any row is
+    allocated; the edges are checked by Graph as it sets them."""
+    payload = parse_json(text)
     if not isinstance(payload, dict) or type(payload.get("vertex_count")) is not int:
         raise ValueError("expected an object with an integer vertex_count")
     if payload["vertex_count"] > MAX_VERTICES:
         raise ValueError(f"vertex_count {payload['vertex_count']} exceeds the limit "
                          f"of {MAX_VERTICES}")
     edges = payload.get("edges")
-    if not isinstance(edges, list) or not all(is_int_pair(e) for e in edges):
-        raise ValueError("edges must be a list of [u, v] integer pairs")
+    if not isinstance(edges, list):
+        raise ValueError(_NOT_PAIRS)
     return Graph(payload["vertex_count"], edges)
 
 

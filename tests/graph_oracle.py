@@ -18,13 +18,23 @@ from typing import Iterable
 Edges = tuple[tuple[int, int], ...]
 
 
-def normalize(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Edges:
+def pair(edge: object) -> tuple[int, int]:
+    """edge as (u, v) if it is a list or tuple of exactly two ints, bools
+    excluded; ValueError otherwise."""
+    if (not isinstance(edge, (list, tuple)) or len(edge) != 2
+            or not all(type(end) is int for end in edge)):
+        raise ValueError("edges must be a list of [u, v] integer pairs")
+    return edge[0], edge[1]
+
+
+def normalize(vertex_count: int, edges: Iterable[object]) -> Edges:
     """The edges as sorted (u, v) with u < v; ValueError for a negative
-    vertex count, a loop, an end out of range or a duplicate edge."""
+    vertex count, or at the first edge that is not a pair of ints, is a
+    loop, has an end out of range or repeats an edge."""
     if vertex_count < 0:
         raise ValueError("vertex_count must be non-negative")
     normalized = set()
-    for u, v in edges:
+    for u, v in map(pair, edges):
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
@@ -77,13 +87,13 @@ def verify_isomorphism(vertex_count: int, source: Edges, target: Edges,
     return image == set(target)
 
 
-def masks(vertex_count: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+def masks(vertex_count: int, edges: Iterable[object]) -> tuple[int, ...]:
     """The neighbour masks, set one `|=` per edge end, with the checks and
     messages of `normalize`."""
     if vertex_count < 0:
         raise ValueError("vertex_count must be non-negative")
     out = [0] * vertex_count
-    for u, v in edges:
+    for u, v in map(pair, edges):
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):

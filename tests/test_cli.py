@@ -538,6 +538,34 @@ def test_malformed_input_exits_without_traceback(lift3_workdir, tmp_path,
     assert run(*_argv(command, work)) == expected
 
 
+NESTED = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("target, content, command, expected, message", [
+    # too deep for the JSON decoder's recursion: one case per command that reads JSON
+    pytest.param("graph.json", NESTED, "code", 2, "error: ", id="code-nested-graph"),
+    pytest.param("rotation.json", NESTED, "code", 2, "error: ", id="code-nested-rotation"),
+    pytest.param("graph.json", NESTED, "embed-search", 2, "error: ",
+                 id="embed-search-nested-graph"),
+    pytest.param("bundle/code.json", NESTED, "distance", 2, "error: ",
+                 id="distance-nested-code-json"),
+    pytest.param("bundle/code.json", NESTED, "verify", 1, "bundle unreadable: ",
+                 id="verify-nested-code-json"),
+    pytest.param("bundle/dz_witness.json", NESTED, "verify", 1,
+                 "FAIL  dz witness re-verifies", id="verify-nested-witness"),
+    ("rotation.json", '{"rotations":[[[0,2]]]}', "code", 2, "error: "),
+])
+def test_refused_json_names_the_error_without_traceback(lift3_workdir, tmp_path, target,
+                                                        content, command, expected, message):
+    work = tmp_path / "w"
+    shutil.copytree(lift3_workdir, work)
+    (work / target).write_text(content)
+    result = run_capped(*_argv(command, work))
+    assert result.returncode == expected, result.stderr
+    assert message in result.stdout + result.stderr
+    assert "Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize("targets, content, command, expected", [
     # 200000 rows of 200000 bytes: 40 GB
     (["graph.json"], '{"vertex_count":200000,"edges":[]}', "code", 2),

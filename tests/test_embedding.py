@@ -294,3 +294,26 @@ def test_rotation_json_round_trip(paley9, paley9_rotation, tmp_path):
     path = tmp_path / "rot.json"
     write_rotation(paley9_rotation, path)
     assert read_rotation(path, paley9.graph).rotations == paley9_rotation.rotations
+
+
+TRIANGLE_ROTATIONS = '[[[0,0],[1,0]],[[0,1],[2,0]],[[1,1],[2,1]]]'
+
+
+def test_rotation_json_reads_darts_as_edge_and_end():
+    rs = rotation_from_json('{"rotations":%s}' % TRIANGLE_ROTATIONS, cycle_graph(3))
+    assert rs.rotations == ((0, 2), (1, 4), (3, 5))
+
+
+@pytest.mark.parametrize("text", [
+    '{"rotations":5}',
+    '{"rotations":[5,[[0,1],[2,0]],[[1,1],[2,1]]]}',
+] + ['{"rotations":[[%s,[1,0]],[[0,1],[2,0]],[[1,1],[2,1]]]}' % dart for dart in [
+    "[0,2]", "[0,true]", "[true,0]", "[1.0,0]", "[0]", "[0,1,2]", '"01"', "null"]])
+def test_rotation_json_rejects_malformed_darts(text):
+    with pytest.raises(ValueError, match="rotations must be a list of"):
+        rotation_from_json(text, cycle_graph(3))
+
+
+def test_rotation_json_rejects_deep_nesting():
+    with pytest.raises(ValueError, match="nested too deeply"):
+        rotation_from_json("[" * 100_000 + "]" * 100_000, cycle_graph(3))

@@ -40,37 +40,58 @@ def test_graph_validation():
         Graph(2, [(0, 2)])
 
 
+FAULTS = ["loop", "range", "duplicate", "reversed",
+          "bool", "float", "string", "short", "long", "bare"]
+
+
+@st.composite
+def faulty_edge(draw, n, edges):
+    """One edge that Graph must reject: a loop, an end out of range, a
+    repeat of an edge in either orientation, an end that is a bool, float
+    or string, a pair with 1 or 3 entries, or a bare int."""
+    fault = draw(st.sampled_from(
+        [f for f in FAULTS if edges or f not in ("duplicate", "reversed")]))
+    w = draw(st.integers(0, max(n - 1, 0)))
+    if fault == "loop":
+        return (w, w)
+    if fault == "range":
+        bad = (draw(st.sampled_from([-1, n, n + 1])), w)
+        return bad[::-1] if draw(st.booleans()) else bad
+    if fault in ("duplicate", "reversed"):
+        u, v = draw(st.sampled_from(edges))
+        return (u, v) if fault == "duplicate" else (v, u)
+    if fault == "bare":
+        return w
+    u, v = draw(st.sampled_from(edges)) if edges else (w, w + 1)
+    if fault == "short":
+        return [u]
+    if fault == "long":
+        return [u, v, w]
+    odd = {"bool": bool, "float": float, "string": str}[fault](v)
+    return [odd, u] if draw(st.booleans()) else [u, odd]
+
+
 @st.composite
 def edge_lists(draw):
     """(vertex_count, edges) on at most 12 vertices: a simple graph with each
     edge in a random orientation and order, and with probability 1/2 one
-    fault: a loop, an end out of range, or a repeat of an edge in either
-    orientation."""
+    or two faulty edges (`faulty_edge`) inserted anywhere."""
     n = draw(st.integers(0, 12))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
-    fault = draw(st.sampled_from([None, "loop", "range", "duplicate", "reversed"]))
-    if fault == "loop":
-        w = draw(st.integers(0, max(n - 1, 0)))
-        bad = (w, w)
-    elif fault == "range":
-        end = draw(st.sampled_from([-1, n, n + 1]))
-        bad = (end, draw(st.integers(0, max(n - 1, 0))))
-        if draw(st.booleans()):
-            bad = bad[::-1]
-    elif fault and edges:
-        u, v = draw(st.sampled_from(edges))
-        bad = (u, v) if fault == "duplicate" else (v, u)
-    else:
-        return n, edges
-    edges.insert(draw(st.integers(0, len(edges))), bad)
+    if draw(st.booleans()):
+        faults = [draw(faulty_edge(n, edges)) for _ in range(draw(st.integers(1, 2)))]
+        for bad in faults:
+            edges.insert(draw(st.integers(0, len(edges))), bad)
     return n, edges
 
 
 @settings(max_examples=400, deadline=None)
 @given(case=edge_lists(), data=st.data())
 def test_graph_matches_set_oracle(case, data):
+    """Graph and both oracles agree on the edges, or on the error of the
+    first failing edge."""
     n, edge_list = case
     try:
         want = graph_oracle.normalize(n, edge_list)
@@ -414,6 +435,16 @@ def test_json_reader_sorts_and_validates():
     ('{"vertex_count":3,"edges":[[0.0,1]]}', "integer pairs"),
     ('{"vertex_count":3,"edges":[[0,1,2]]}', "integer pairs"),
     ('{"vertex_count":3,"edges":[[[0,1]]]}', "integer pairs"),
+    ('{"vertex_count":3,"edges":[[0,1],"12"]}', "integer pairs"),
+    ('{"vertex_count":3,"edges":[[0,1],null]}', "integer pairs"),
+    ('{"vertex_count":3,"edges":{"0":1}}', "integer pairs"),
+    # the first failing edge names the error
+    ('{"vertex_count":3,"edges":[[0,0],[true,1]]}', "self-loop at vertex 0"),
+    ('{"vertex_count":3,"edges":[[true,1],[0,0]]}', "integer pairs"),
+    ('{"vertex_count":3,"edges":[[0,1],[1,0],[0,1,2]]}', r"duplicate edge \(0, 1\)"),
+    pytest.param("[" * 100_000 + "]" * 100_000, "nested too deeply", id="nested"),
+    pytest.param('{"vertex_count":3,"edges":' + "[" * 100_000 + "]" * 100_000 + "}",
+                 "nested too deeply", id="nested-edges"),
     ('{"vertex_count":-1,"edges":[]}', "non-negative"),
     ('{"vertex_count":3,"edges":[[1,0],[0,1]]}', r"duplicate edge \(0, 1\)"),
     # checked before any row is allocated: 200000 would ask for 40 GB
