@@ -24,12 +24,13 @@ _NOT_ROTATIONS = "rotations must be a list of [[edge, end], ...] lists with end 
 
 
 def incident_darts(graph: Graph) -> list[list[int]]:
-    """Darts at each vertex, sorted ascending."""
+    """Darts at each vertex, ascending.  The edges are sorted, so a vertex's
+    darts come in ascending order, and with them their far ends."""
     inc: list[list[int]] = [[] for _ in range(graph.vertex_count)]
     for e, (u, v) in enumerate(graph.edges):
         inc[u].append(2 * e)
         inc[v].append(2 * e + 1)
-    return [sorted(d) for d in inc]
+    return inc
 
 
 @dataclass(frozen=True)
@@ -69,14 +70,14 @@ class FaceSet:
 
 
 def trace_faces(rs: RotationSystem) -> FaceSet:
-    """Trace all faces; requires a connected graph.
+    """Trace all faces; requires a connected graph with a vertex.
 
     A negative or fractional genus cannot arise from a valid rotation
     system on a connected graph, so it is rejected as input corruption.
     """
     g = rs.graph
-    if not g.is_connected():
-        raise ValueError("face tracing requires a connected graph")
+    if not (g.vertex_count and g.is_connected()):
+        raise ValueError("face tracing requires a connected graph with a vertex")
     succ = rs.successor_table()
     num_darts = 2 * g.edge_count
     visited = [False] * num_darts
@@ -103,11 +104,9 @@ def face_edge_matrix(faces: FaceSet) -> BinaryMatrix:
     of times on the face walk."""
     rows = []
     for walk in faces.faces:
-        counts = Counter(d >> 1 for d in walk)
         bits = 0
-        for e, c in counts.items():
-            if c % 2:
-                bits |= 1 << e
+        for d in walk:
+            bits ^= 1 << (d >> 1)
         rows.append(bits)
     return BinaryMatrix(len(rows), faces.graph.edge_count, tuple(rows))
 

@@ -35,37 +35,26 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _poly_trim(coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    k = len(coeffs)
-    while k > 0 and coeffs[k - 1] == 0:
-        k -= 1
-    return coeffs[:k]
+def _digits(i: int, p: int, count: int) -> list[int]:
+    """The lowest count base-p digits of i, lowest first: the coefficients,
+    constant term first, of the polynomial that index i encodes."""
+    out = []
+    for _ in range(count):
+        i, d = divmod(i, p)
+        out.append(d)
+    return out
 
 
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(tuple(out))
-
-
-def _poly_divmod(a: tuple[int, ...], b: tuple[int, ...], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Quotient and remainder of a by b over Z_p; b must be monic."""
-    assert b and b[-1] == 1
-    rem = list(a)
-    deg_b = len(b) - 1
-    quot = [0] * max(len(a) - deg_b, 0)
-    for i in range(len(rem) - 1, deg_b - 1, -1):
-        c = rem[i] % p
+def _remainder(a: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
+    """The deg(modulus) low coefficients of a mod the monic modulus over
+    Z_p; a is reduced in place."""
+    deg = len(modulus) - 1
+    for i in range(len(a) - 1, deg - 1, -1):
+        c = a[i] % p
         if c:
-            quot[i - deg_b] = c
-            for j in range(deg_b + 1):
-                rem[i - deg_b + j] = (rem[i - deg_b + j] - c * b[j]) % p
-    return _poly_trim(tuple(quot)), _poly_trim(tuple(rem))
+            for j in range(deg):   # the top term cancels
+                a[i - deg + j] -= c * modulus[j]
+    return [c % p for c in a[:deg]]
 
 
 def _poly_str(coeffs: tuple[int, ...]) -> str:
@@ -88,14 +77,8 @@ def _poly_str(coeffs: tuple[int, ...]) -> str:
 def _monic_polys(degree: int, p: int):
     """All monic polynomials of the given degree over Z_p, ascending by
     coefficient tuple read from the constant term upward."""
-    total = p ** degree
-    for low in range(total):
-        coeffs = []
-        v = low
-        for _ in range(degree):
-            coeffs.append(v % p)
-            v //= p
-        yield tuple(coeffs) + (1,)
+    for low in range(p ** degree):
+        yield tuple(_digits(low, p, degree)) + (1,)
 
 
 def _find_factor(modulus: tuple[int, ...], p: int) -> tuple[int, ...] | None:
@@ -103,8 +86,7 @@ def _find_factor(modulus: tuple[int, ...], p: int) -> tuple[int, ...] | None:
     deg = len(modulus) - 1
     for d in range(1, deg // 2 + 1):
         for cand in _monic_polys(d, p):
-            _, rem = _poly_divmod(modulus, cand, p)
-            if not rem:
+            if not any(_remainder(list(modulus), cand, p)):
                 return cand
     return None
 
@@ -121,22 +103,6 @@ class PrimePowerField:
         self.r = r
         self.order = p ** r
         self.modulus = modulus
-
-    # -- canonical indexing --------------------------------------------------
-
-    def index_to_coeffs(self, index: int) -> tuple[int, ...]:
-        coeffs = []
-        v = index
-        for _ in range(self.r):
-            coeffs.append(v % self.p)
-            v //= self.p
-        return _poly_trim(tuple(coeffs))
-
-    def coeffs_to_index(self, coeffs: tuple[int, ...]) -> int:
-        idx = 0
-        for c in reversed(coeffs):
-            idx = idx * self.p + (c % self.p)
-        return idx
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -174,14 +140,22 @@ class PrimePowerField:
         powers, computed as polynomials reduced by the modulus, first
         return to 1 after q-1 steps.  Its orbit is the exp table.
         """
-        n = self.order - 1
+        p, r, modulus, n = self.p, self.r, self.modulus, self.order - 1
         for c in range(1, self.order):
-            base = self.index_to_coeffs(c)
-            exp, acc = [1], base
-            while acc != (1,) and len(exp) <= n:  # bounded if the modulus is reducible
-                exp.append(self.coeffs_to_index(acc))
-                _, acc = _poly_divmod(_poly_mul(acc, base, self.p), self.modulus, self.p)
-            if len(exp) == n and acc == (1,):
+            base = digits = _digits(c, p, r)
+            exp, acc = [1], c
+            while acc != 1 and len(exp) <= n:  # bounded if the modulus is reducible
+                exp.append(acc)
+                prod = [0] * (2 * r - 1)
+                for i, a in enumerate(digits):
+                    if a:
+                        for j, b in enumerate(base):
+                            prod[i + j] += a * b
+                digits = _remainder(prod, modulus, p)
+                acc = 0
+                for d in reversed(digits):
+                    acc = acc * p + d
+            if len(exp) == n and acc == 1:
                 log = [0] * self.order
                 for e, i in enumerate(exp):
                     log[i] = e
@@ -207,7 +181,10 @@ def make_field(p: int, r: int, modulus: tuple[int, ...] | None = None) -> PrimeP
     if r < 1:
         raise FieldConstructionError(f"exponent must be positive, got {r}")
     if modulus is not None:
-        modulus = _poly_trim(tuple(c % p for c in modulus))
+        coeffs = [c % p for c in modulus]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        modulus = tuple(coeffs)
         if len(modulus) != r + 1 or modulus[-1] != 1:
             raise FieldConstructionError(
                 f"modulus must be monic of degree {r}, got {_poly_str(modulus)}"

@@ -59,15 +59,7 @@ class BinaryMatrix:
     # -- transpose and row space -------------------------------------------
 
     def transpose(self) -> "BinaryMatrix":
-        """At density 1/10 and above, one zip of the rows' bit strings:
-        O(rows x cols) character steps in C.  Below it, walks the set bits of
-        each row: O(rows + nonzeros) word operations."""
-        ones = sum(r.bit_count() for r in self.row_bits)
-        if self.rows and 10 * ones >= self.rows * self.cols:
-            top = 1 << self.cols   # the sentinel of to_text: digits run column 0 first
-            digits = [bin(r | top)[:2:-1] for r in self.row_bits]
-            return BinaryMatrix(self.cols, self.rows, tuple(
-                int("".join(column)[::-1], 2) for column in zip(*digits)))
+        """Walks the set bits of each row: O(rows + nonzeros) word operations."""
         columns = [0] * self.cols
         for i, r in enumerate(self.row_bits):
             bit = 1 << i
@@ -205,7 +197,6 @@ class RowSpace:
 
     def __init__(self, m: BinaryMatrix):
         reduced, pivots = _eliminate(m.row_bits)
-        self.cols = m.cols
         self.pivots = pivots
         self._rows_by_pivot = {p: reduced[i] for i, p in enumerate(pivots)}
         self._pivot_mask = sum(1 << p for p in pivots)

@@ -89,10 +89,6 @@ class Graph:
             out.extend(zip(repeat(u), compress(range(u + 1, n), bit_flags(m >> u + 1, n - u - 1))))
         return tuple(out)
 
-    @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
     @property
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.neighbours) // 2

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .embedding import RotationSystem
+from .embedding import RotationSystem, incident_darts
 from .gf2 import BinaryMatrix
 from .graphs import Graph, require_vertex_count
 
@@ -91,9 +91,12 @@ def derived_embedding(vg: VoltageGraph) -> RotationSystem:
     """
     graph = lift(vg)
     size = 1 << vg.t
+    masks, darts = graph.neighbours, incident_darts(graph)
 
     def dart(x: int, y: int) -> int:
-        return 2 * graph.edge_index[(min(x, y), max(x, y))] + (x > y)
+        # the darts at x ascend with their far ends: y's is x's count of
+        # neighbours below y
+        return darts[x][(masks[x] & ((1 << y) - 1)).bit_count()]
 
     u_rotations = tuple(
         tuple(dart(g, size + (g ^ a)) for a in vg.links)

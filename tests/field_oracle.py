@@ -2,24 +2,42 @@
 the polynomial whose coefficients, constant term first, are the base-p
 digits of i; sums are taken coefficient by coefficient and products are
 reduced by the field's modulus.  Every operation redoes the polynomial
-arithmetic, so it is slow but independent of the field's tables."""
-from paleylift.fields import PrimePowerField, _poly_divmod, _poly_mul
+arithmetic with its own helpers, so it is slow but independent of the
+field's tables and of the kernels that build them."""
+from paleylift.fields import PrimePowerField
+
+
+def coeffs(field: PrimePowerField, i: int) -> list[int]:
+    """The r coefficients of element i, constant term first."""
+    return [i // field.p ** k % field.p for k in range(field.r)]
+
+
+def index(field: PrimePowerField, cs: list[int]) -> int:
+    return sum(c % field.p * field.p ** k for k, c in enumerate(cs))
 
 
 def add(field: PrimePowerField, i: int, j: int) -> int:
-    a, b = field.index_to_coeffs(i), field.index_to_coeffs(j)
-    n = max(len(a), len(b))
-    a, b = a + (0,) * (n - len(a)), b + (0,) * (n - len(b))
-    return field.coeffs_to_index(tuple((x + y) % field.p for x, y in zip(a, b)))
+    return index(field, [a + b for a, b in zip(coeffs(field, i), coeffs(field, j))])
 
 
 def neg(field: PrimePowerField, i: int) -> int:
-    return field.coeffs_to_index(tuple(-c % field.p for c in field.index_to_coeffs(i)))
+    return index(field, [-c for c in coeffs(field, i)])
 
 
 def mul(field: PrimePowerField, i: int, j: int) -> int:
-    prod = _poly_mul(field.index_to_coeffs(i), field.index_to_coeffs(j), field.p)
-    return field.coeffs_to_index(_poly_divmod(prod, field.modulus, field.p)[1])
+    """Schoolbook product, then long division by the monic modulus: each
+    term of degree r or more is replaced by its value mod the modulus."""
+    r, modulus = field.r, field.modulus
+    prod = [0] * (2 * r)
+    for k, a in enumerate(coeffs(field, i)):
+        for m, b in enumerate(coeffs(field, j)):
+            prod[k + m] += a * b
+    for top in range(2 * r - 1, r - 1, -1):
+        c = prod[top]
+        prod[top] = 0
+        for m in range(r):
+            prod[top - r + m] -= c * modulus[m]
+    return index(field, prod[:r])
 
 
 def orbit_length(field: PrimePowerField, i: int) -> int:

@@ -152,6 +152,9 @@ def test_builder_outputs_match_golden_digests(tmp_path):
     data/golden.sha256 byte for byte."""
     for name, argv in GOLDEN_BUILDS.items():
         assert run(*argv, "--out", tmp_path / name) == 0
+    # the whole-row JSON writer reproduces what it reads back
+    text = (tmp_path / "paley529" / "graph.json").read_text()
+    assert graphs.graph_to_json(graphs.graph_from_json(text)) == text
     rot18 = tmp_path / "paley9_rotation.json"
     assert run("embed-search", tmp_path / "paley9" / "graph.json", "--genus", 1,
                "--out", rot18) == 0
@@ -182,7 +185,14 @@ def test_code_bundles_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_full_pipeline_embedding(tmp_path):
+def distance_line(capsys, *argv):
+    """The conclusion that `distance` prints for argv."""
+    capsys.readouterr()
+    assert run("distance", *argv) == 0
+    return capsys.readouterr().out.splitlines()[-1]
+
+
+def test_full_pipeline_embedding(tmp_path, capsys):
     paley_dir = tmp_path / "paley9"
     rot = tmp_path / "rot.json"
     bundle = tmp_path / "bundle"
@@ -193,14 +203,17 @@ def test_full_pipeline_embedding(tmp_path):
                "--family", "paley", "--kprime", 0, "--out", bundle) == 0
     payload = json.loads((bundle / "code.json").read_text())
     assert (payload["n"], payload["k"], payload["genus"]) == (18, 2, 1)
-    assert run("distance", bundle, "--max-weight", 3) == 0
+    assert distance_line(capsys, bundle, "--max-weight", 2) == \
+        "distance: d > 2 (searched weight <= 2)"
+    assert distance_line(capsys, bundle, "--max-weight", 3) == \
+        "distance: d = 3 (searched weight <= 3)"
     payload = json.loads((bundle / "code.json").read_text())
     assert payload["d_found"] == 3
     assert (bundle / "dz_witness.json").exists()
     assert run("verify", bundle) == 0
 
 
-def test_full_pipeline_lift(tmp_path):
+def test_full_pipeline_lift(tmp_path, capsys):
     lift_dir = tmp_path / "lift3"
     bundle = tmp_path / "bundle60"
     assert run("lift", 3, "--out", lift_dir) == 0
@@ -209,11 +222,15 @@ def test_full_pipeline_lift(tmp_path):
                "--family", "voltage", "--kprime", 1, "--out", bundle) == 0
     payload = json.loads((bundle / "code.json").read_text())
     assert (payload["n"], payload["k"], payload["genus"]) == (60, 30, 15)
-    assert run("distance", bundle, "--max-weight", 2) == 0
+    assert distance_line(capsys, bundle, "--max-weight", 1) == \
+        "distance: d > 1 (searched weight <= 1)"
+    assert distance_line(capsys, bundle, "--max-weight", 2) == \
+        "distance: d > 2 (searched weight <= 2)"
     payload = json.loads((bundle / "code.json").read_text())
     assert payload["d_found"] is None
     assert payload["d_lower"] == 3
-    assert run("distance", bundle, "--max-weight", 3) == 0
+    assert distance_line(capsys, bundle, "--max-weight", 3) == \
+        "distance: d = 3 (searched weight <= 3)"
     payload = json.loads((bundle / "code.json").read_text())
     assert (payload["d_found"], payload["d_lower"]) == (3, 3)
     # distance leaves hx.txt and hz.txt alone
@@ -355,12 +372,19 @@ def test_verify_empty_bundle_usage_error(tmp_path):
     assert run("verify", tmp_path / "nothing") == 2
 
 
-def test_code_bad_graph_file_usage_error(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"vertex_count": 2, "edges": [[0, 0]]}')
-    rot = tmp_path / "rot.json"
-    rot.write_text('{"rotations": [[], []]}')
-    assert run("code", bad, "--rotation", rot, "--out", tmp_path / "b") == 2
+def test_code_bad_graph_file_usage_error(tmp_path, capsys):
+    bad, rot = tmp_path / "bad.json", tmp_path / "rot.json"
+    for graph, rotations in (
+            ('{"vertex_count": 2, "edges": [[0, 0]]}', '{"rotations": [[], []]}'),
+            ('{"vertex_count":3,"edges":[[0,1,2]]}', '{"rotations": [[], [], []]}'),
+            # connected by convention, but it has no faces to trace
+            ('{"vertex_count":0,"edges":[]}', '{"rotations":[]}')):
+        bad.write_text(graph)
+        rot.write_text(rotations)
+        capsys.readouterr()
+        assert run("code", bad, "--rotation", rot, "--out", tmp_path / "b") == 2, graph
+        assert capsys.readouterr().err.startswith("error: "), graph
+    assert not (tmp_path / "b").exists()
 
 
 def test_verify_unreadable_matrix_fails(tmp_path):

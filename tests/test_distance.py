@@ -11,6 +11,7 @@ import embedding_oracle
 import gf2_oracle
 from distance_oracle import all_roots_distance, brute_force_distance, min_row_distance
 from paleylift import css, fields, paley, voltage
+from paleylift.cli import main
 from paleylift.css import (
     SearchCounters,
     build_code_embedding,
@@ -32,12 +33,13 @@ def multiplier_cayley_map(built: paley.PaleyGraph) -> RotationSystem:
     connection = [1]
     while len(connection) < (field.order - 1) // 2:
         connection.append(field.mul_index(connection[-1], step))
+    edge_index = {e: i for i, e in enumerate(graph.edges)}
     rotations = []
     for x in range(field.order):
         darts = []
         for s in connection:
             y = field.add_index(x, s)
-            darts.append(2 * graph.edge_index[(min(x, y), max(x, y))] + (x > y))
+            darts.append(2 * edge_index[(min(x, y), max(x, y))] + (x > y))
         rotations.append(tuple(darts))
     return RotationSystem(graph, tuple(rotations))
 
@@ -65,12 +67,13 @@ def _toric_code(size):
     g = Graph(size * size, [(min(vertex(i, j), w), max(vertex(i, j), w))
                             for i in range(size) for j in range(size)
                             for w in (vertex(i, j + 1), vertex(i + 1, j))])
+    edge_index = {e: i for i, e in enumerate(g.edges)}
     rotations = []
     for i in range(size):
         for j in range(size):
             v = vertex(i, j)
             rotations.append(tuple(
-                2 * g.edge_index[(min(v, w), max(v, w))] + (v > w)
+                2 * edge_index[(min(v, w), max(v, w))] + (v > w)
                 for w in (vertex(i, j + 1), vertex(i + 1, j),
                           vertex(i, j - 1), vertex(i - 1, j))))
     return build_code_embedding(g, RotationSystem(g, tuple(rotations)))
@@ -233,7 +236,7 @@ def test_weight_one_offers_no_parallel_pair(codes):
         assert counters == SearchCounters(offers=4, membership=1)
 
 
-def test_loops_are_offered_up_to_the_first_logical():
+def test_loops_are_offered_up_to_the_first_logical(tmp_path, capsys):
     # every column of a zero matrix is a loop.  The lowest loop outside the
     # other matrix's row space is the witness, and every later candidate
     # follows it, so no later loop is offered: one offer, not 4096
@@ -247,6 +250,15 @@ def test_loops_are_offered_up_to_the_first_logical():
     witness, counters = css._systole_side(zeros, BinaryMatrix(1, 4096, (1,)), 1, "H_X")
     assert witness == (1,)
     assert counters == SearchCounters(offers=2, membership=2)
+    # through the CLI, the largest matrices with no rows: 2^20 loops
+    for name in ("hx.txt", "hz.txt"):
+        (tmp_path / name).write_text("0 1048576\n")
+    (tmp_path / "code.json").write_text(
+        '{"n":1048576,"k":0,"d_found":null,"d_lower":1,"family":"custom",'
+        '"kprime":null,"genus":null}\n')
+    capsys.readouterr()
+    assert main(["distance", str(tmp_path), "--max-weight", "1"]) == 0
+    assert capsys.readouterr().out == "distance: d = 1 (searched weight <= 1)\n"
 
 
 def test_distance_search_transposes_no_matrix(codes, monkeypatch):

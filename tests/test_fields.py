@@ -52,10 +52,12 @@ def generator_powers(field):
 
 def test_gf9_element_indexing(gf9):
     # g_i = a*x + b with i = 3a + b
-    assert gf9.index_to_coeffs(3) == (0, 1)     # x
-    assert gf9.index_to_coeffs(7) == (1, 2)     # 2x + 1
-    assert gf9.index_to_coeffs(0) == ()
-    assert [gf9.coeffs_to_index(gf9.index_to_coeffs(i)) for i in range(9)] == list(range(9))
+    assert field_oracle.coeffs(gf9, 3) == [0, 1]     # x
+    assert field_oracle.coeffs(gf9, 7) == [1, 2]     # 2x + 1
+    assert [field_oracle.index(gf9, field_oracle.coeffs(gf9, i)) for i in range(9)] == list(range(9))
+    # the field's digit loops read indices the same way: x + 1 = g_4,
+    # -(2x + 1) = x + 2 = g_5, and (2x + 1) + (x + 2) = 0
+    assert (gf9.add_index(3, 1), gf9.neg_index(7), gf9.add_index(7, 5)) == (4, 5, 0)
 
 
 def test_gf9_square_of_generator(gf9):

@@ -107,8 +107,15 @@ def test_graph_matches_set_oracle(case, data):
     assert g.neighbours == graph_oracle.masks(n, edge_list)
     assert g.edges == want == graph_oracle.mask_edges(g.neighbours)
     assert g.edge_count == len(want)
-    assert g.edge_index == {e: i for i, e in enumerate(want)}
     adj = graph_oracle.adjacency(n, want)
+    # dart 2e + end of edge e = want[e] sits at its end-th end, and the darts
+    # at a vertex ascend with their far ends
+    darts = embedding.incident_darts(g)
+    assert [want[d >> 1][d & 1] for ds in darts for d in ds] == [
+        v for v in range(n) for _ in adj[v]]
+    assert [[want[d >> 1][1 - (d & 1)] for d in ds] for ds in darts] == [
+        sorted(a) for a in adj]
+    assert all(ds == sorted(ds) for ds in darts)
     assert [g.degree(v) for v in range(n)] == [len(a) for a in adj]
     assert g.is_connected() == graph_oracle.is_connected(n, want)
     comp = complement(g)

@@ -1,6 +1,6 @@
 """Every function in src/paleylift is entered by the command chains of the
-README and of CI's console smoke test, or is on NEVER_ENTERED with the
-reason it is kept.  A function that only tests call belongs in a test
+README and of the CLI tests, or is on NEVER_ENTERED with the reason it is
+kept.  A function that only tests call belongs in a test
 module, not on that list."""
 import ast
 import sys
@@ -53,8 +53,8 @@ def defined_functions() -> dict[tuple[Path, int, str], str]:
 
 
 def chains(out: Path) -> list[list[str]]:
-    """The README's two worked instances and its tables, and CI's console
-    smoke test, which adds the distance bounds and the alist exports."""
+    """The README's two worked instances and its tables, with the distance
+    bounds and the alist exports that test_cli.py runs on them."""
     return [
         ["paley", "3", "2", "--modulus", "2,1,1", "--out", f"{out}/paley9"],
         ["embed-search", f"{out}/paley9/graph.json", "--genus", "1",
