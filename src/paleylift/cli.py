@@ -7,7 +7,11 @@ Artifact bytes are deterministic for identical inputs; the manifest's
 timing and counter blocks are a run log, not an artifact.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 search budget exhaustion.
+3 search budget exhaustion.  The commands raise, and `main` maps what
+they raise to its exit code: SearchBudgetExceeded to 3, and a ValueError
+or OSError (malformed input, an unreadable input or unwritable output)
+to 2 with the reader's own message.  `verify` maps its bundle's faults to
+1 itself.
 """
 from __future__ import annotations
 
@@ -23,7 +27,6 @@ from pathlib import Path
 
 from . import css, embedding, fields, graphs, paley, voltage
 from .gf2 import BinaryMatrix, bit_flags
-from .graphs import SearchBudgetExceeded
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -81,16 +84,17 @@ def _parse_modulus(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(","))
 
 
-def _read_witness(path: Path) -> tuple[str, int, tuple[int, ...]]:
-    """(side, weight, support) of a witness file; ValueError if malformed."""
+def _read_witness(path: Path, side: str) -> tuple[int, tuple[int, ...]]:
+    """(weight, support) of a witness file for side Z or X; ValueError if
+    malformed or the file holds the other side."""
     payload = graphs.parse_json(path.read_text())
-    if not isinstance(payload, dict) or payload.get("side") not in ("Z", "X"):
-        raise ValueError("witness needs side Z or X")
+    if not isinstance(payload, dict) or payload.get("side") != side:
+        raise ValueError(f"witness needs side {side}")
     weight, support = payload.get("weight"), payload.get("support")
     if type(weight) is not int or not isinstance(support, list) or not all(
             type(j) is int for j in support):
         raise ValueError("witness needs an integer weight and support")
-    return payload["side"], weight, tuple(support)
+    return weight, tuple(support)
 
 
 # -- commands -------------------------------------------------------------------
@@ -123,10 +127,7 @@ def _write_builder_outputs(args: argparse.Namespace, argv: list[str],
 
 def cmd_lift(args: argparse.Namespace, argv: list[str]) -> int:
     t0 = time.perf_counter()
-    try:
-        base = voltage.build_voltage_graph(args.t)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    base = voltage.build_voltage_graph(args.t)
     rotation = voltage.derived_embedding(base)
     lifted = rotation.graph
     block = voltage.block_adjacency(args.t)
@@ -142,14 +143,11 @@ def cmd_lift(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def cmd_paley(args: argparse.Namespace, argv: list[str]) -> int:
-    try:
-        modulus = _parse_modulus(args.modulus) if args.modulus else None
-        t0 = time.perf_counter()
-        field = fields.make_field(args.p, args.r, modulus)
-        built = paley.build_paley(field)
-        timings = {"build": time.perf_counter() - t0}
-    except (ValueError, fields.FieldConstructionError) as exc:
-        return _usage_error(str(exc))
+    modulus = _parse_modulus(args.modulus) if args.modulus else None
+    t0 = time.perf_counter()
+    field = fields.make_field(args.p, args.r, modulus)
+    built = paley.build_paley(field)
+    timings = {"build": time.perf_counter() - t0}
     out = _write_builder_outputs(args, argv, built.graph,
                                  graphs.adjacency_matrix(built.graph), timings)
     print(f"paley {field.order}: {built.graph.vertex_count} vertices, "
@@ -161,14 +159,10 @@ def cmd_code(args: argparse.Namespace, argv: list[str]) -> int:
     graph_path, rot_path = Path(args.graph), Path(args.rotation)
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    try:
-        graph = graphs.read_graph(graph_path)
-        rotation = embedding.read_rotation(rot_path, graph)
-        code = css.build_code_embedding(graph, rotation, family=args.family,
-                                        kprime=args.kprime)
-    except (OSError, ValueError) as exc:
-        return _usage_error(f"cannot build a code from {graph_path} and "
-                            f"{rot_path}: {exc}")
+    graph = graphs.read_graph(graph_path)
+    rotation = embedding.read_rotation(rot_path, graph)
+    code = css.build_code_embedding(graph, rotation, family=args.family,
+                                    kprime=args.kprime)
     timings["build"] = time.perf_counter() - t0
     out = Path(args.out)
     t0 = time.perf_counter()
@@ -188,17 +182,11 @@ def cmd_distance(args: argparse.Namespace, argv: list[str]) -> int:
     bundle = Path(args.bundle)
     if not (bundle / "code.json").exists():
         return _usage_error(f"{bundle} is not a code bundle (code.json missing)")
-    try:
-        code = css.read_bundle(bundle)
-    except (OSError, ValueError) as exc:
-        return _usage_error(f"bad bundle {bundle}: {exc}")
+    code = css.read_bundle(bundle)
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    try:
-        report = css.distance_search(code, args.max_weight,
-                                     enumeration_budget=args.budget)
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    report = css.distance_search(code, args.max_weight,
+                                 enumeration_budget=args.budget)
     timings["search"] = time.perf_counter() - t0
     css.apply_distance_report(code, report)
     outputs = [css.write_code_json(code, bundle)]
@@ -238,21 +226,11 @@ def cmd_table(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def cmd_embed_search(args: argparse.Namespace, argv: list[str]) -> int:
-    graph_path = Path(args.graph)
-    try:
-        graph = graphs.read_graph(graph_path)
-    except (OSError, ValueError) as exc:
-        return _usage_error(f"bad graph file {graph_path}: {exc}")
+    graph = graphs.read_graph(Path(args.graph))
     out = Path(args.out)
     t0 = time.perf_counter()
-    try:
-        rotation = embedding.search_self_dual_embedding(
-            graph, args.genus, budget=args.budget)
-    except SearchBudgetExceeded as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ValueError as exc:
-        return _usage_error(str(exc))
+    rotation = embedding.search_self_dual_embedding(graph, args.genus,
+                                                    budget=args.budget)
     elapsed = time.perf_counter() - t0
     out.parent.mkdir(parents=True, exist_ok=True)
     if rotation is None:
@@ -294,20 +272,22 @@ def cmd_verify(args: argparse.Namespace, argv: list[str]) -> int:
     check("k = n - rank(hx) - rank(hz)", code.k == beta1)
     if code.genus is not None:
         check("k = 2 * genus", code.k == 2 * code.genus)
+    why = css.family_mismatch(code)
+    check("family label matches (n, k, genus)", not why, why)
     if code.d_found is not None:
         check("d_lower <= d_found", code.d_lower <= code.d_found)
     weights = []
-    for side in ("dz", "dx"):
-        wpath = bundle / f"{side}_witness.json"
+    for side in ("Z", "X"):
+        wpath = bundle / f"d{side.lower()}_witness.json"
         if wpath.exists():
             try:
-                wside, weight, support = _read_witness(wpath)
+                weight, support = _read_witness(wpath, side)
                 weights.append(len(support))
                 ok = (len(support) == weight
-                      and css.verify_witness(code, wside, support))
+                      and css.verify_witness(code, side, support))
             except (OSError, ValueError):
                 ok = False
-            check(f"{side} witness re-verifies", ok)
+            check(f"d{side.lower()} witness re-verifies", ok)
     # a witness is a logical of its weight, so it bounds d from above
     if code.d_found is not None:
         check("d_found = lightest witness weight",
@@ -382,7 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=embedding.DEFAULT_SEARCH_BUDGET)
     p.add_argument("--out", required=True, help="rotation JSON output path")
 
-    p = sub.add_parser("verify", help="re-run every invariant on a code bundle")
+    p = sub.add_parser("verify", help="re-check a code bundle: the CSS condition, "
+                                      "k, the genus and family labels, and the "
+                                      "witnesses; d_lower is not yet re-proved")
     p.add_argument("bundle")
 
     return parser
@@ -394,8 +376,11 @@ def main(argv: list[str] | None = None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args, argv)
-    except OSError as exc:  # inputs are read under their own handlers
-        return _usage_error(f"cannot write output: {exc}")
+    except graphs.SearchBudgetExceeded as exc:
+        print(f"budget exhausted: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except (OSError, ValueError) as exc:
+        return _usage_error(str(exc))
 
 
 if __name__ == "__main__":

@@ -42,7 +42,8 @@ def build_code_embedding(
     kprime: Optional[int] = None,
 ) -> CssCode:
     """Surface code of an embedded graph: H_X from vertices, H_Z from faces,
-    k from homology_ranks; a CSS failure is a face-tracing bug."""
+    k from homology_ranks; a CSS failure is a face-tracing bug.  A family
+    label that disagrees with the code raises ValueError."""
     if rotation.graph != graph:
         raise ValueError("rotation system belongs to a different graph")
     hx = incidence_matrix(graph)
@@ -57,8 +58,12 @@ def build_code_embedding(
         raise AssertionError(
             f"logical count {k} disagrees with 2*genus = {2 * faces.genus}"
         )
-    return CssCode(hx=hx, hz=hz, n=n, k=k, d_lower=1, d_found=None,
+    code = CssCode(hx=hx, hz=hz, n=n, k=k, d_lower=1, d_found=None,
                    family=family, kprime=kprime, genus=faces.genus)
+    why = family_mismatch(code)
+    if why:
+        raise ValueError(why)
+    return code
 
 
 # -- distance ------------------------------------------------------------------
@@ -395,31 +400,45 @@ class FamilyParameters:
 
 
 def family_parameters(family: str, kprime: int) -> FamilyParameters:
-    """Closed-form (n, k, m, g) for the two code families.
-
-    voltage: m = 8 + 8k', g = 8k'^2 + 7k'  (k' >= 1; k'=1 is the smallest lift)
-    paley:   m = 9 + 8k', g = 8k'^2 + 9k' + 1  (k' >= 0)
-    Both satisfy n = m(m-1)/4 and k = 2g.
+    """Closed-form (n, k, m, g) for the two code families, from the graph's
+    m vertices: m = 8k' + 8 (voltage, k' >= 1; k' = 1 is the smallest
+    lift) or 8k' + 9 (paley, k' >= 0).  A self-complementary graph holds
+    half of the m(m-1)/2 vertex pairs, so n = m(m-1)/4.  A self-dual
+    embedding has as many faces as vertices, so V - E + F = 2 - 2g gives
+    g = (n - 2m + 2)/2, and k = 2g.
     """
     if family == "voltage":
         if kprime < 1:
             raise ValueError("voltage family needs kprime >= 1 (m = 16 is the "
                              "smallest lift)")
-        m = 8 + 8 * kprime
-        genus = 8 * kprime * kprime + 7 * kprime
-        n = (2 * kprime + 2) * (8 * kprime + 7)
+        m = 8 * kprime + 8
     elif family == "paley":
         if kprime < 0:
             raise ValueError("paley family needs kprime >= 0")
-        m = 9 + 8 * kprime
-        genus = 8 * kprime * kprime + 9 * kprime + 1
-        n = (2 * kprime + 2) * (8 * kprime + 9)
+        m = 8 * kprime + 9
     else:
         raise ValueError(f"unknown family {family!r}")
-    k = 2 * genus
-    assert n == m * (m - 1) // 4
+    n = m * (m - 1) // 4
+    genus = (n - 2 * m + 2) // 2
     return FamilyParameters(family=family, kprime=kprime, m=m, genus=genus,
-                            n=n, k=k)
+                            n=n, k=2 * genus)
+
+
+def family_mismatch(code: CssCode) -> str:
+    """Why the code's family label disagrees with its (n, k, genus), or ""
+    if it agrees.  A custom family or a null kprime makes no claim; an
+    unknown family or a kprime outside its family's range is a mismatch."""
+    if code.family == "custom" or code.kprime is None:
+        return ""
+    try:
+        claim = family_parameters(code.family, code.kprime)
+    except ValueError as exc:
+        return str(exc)
+    if (claim.n, claim.k, claim.genus) == (code.n, code.k, code.genus):
+        return ""
+    return (f"family {code.family} with kprime {code.kprime} has n, k, genus = "
+            f"{claim.n}, {claim.k}, {claim.genus}; the code has "
+            f"{code.n}, {code.k}, {code.genus}")
 
 
 # -- bundle persistence ----------------------------------------------------------

@@ -16,10 +16,6 @@ from functools import cached_property
 from .graphs import require_vertex_count
 
 
-class FieldConstructionError(ValueError):
-    """Invalid parameters for a prime-power field."""
-
-
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -175,23 +171,23 @@ def make_field(p: int, r: int, modulus: tuple[int, ...] | None = None) -> PrimeP
     try:
         require_vertex_count(p, r)   # the field's elements are a Paley graph's vertices
     except ValueError as exc:
-        raise FieldConstructionError(f"GF({p}^{r}): {exc}") from None
+        raise ValueError(f"GF({p}^{r}): {exc}") from None
     if not _is_prime(p):
-        raise FieldConstructionError(f"{p} is not prime")
+        raise ValueError(f"{p} is not prime")
     if r < 1:
-        raise FieldConstructionError(f"exponent must be positive, got {r}")
+        raise ValueError(f"exponent must be positive, got {r}")
     if modulus is not None:
         coeffs = [c % p for c in modulus]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         modulus = tuple(coeffs)
         if len(modulus) != r + 1 or modulus[-1] != 1:
-            raise FieldConstructionError(
+            raise ValueError(
                 f"modulus must be monic of degree {r}, got {_poly_str(modulus)}"
             )
         factor = _find_factor(modulus, p)
         if factor is not None:
-            raise FieldConstructionError(
+            raise ValueError(
                 f"modulus {_poly_str(modulus)} is reducible over Z_{p}: "
                 f"divisible by {_poly_str(factor)}"
             )

@@ -32,10 +32,6 @@ def bit_flags(bits: int, width: int) -> bytes:
     return bin(bits | 1 << width)[:2:-1].encode().translate(_FLAG_BYTES)
 
 
-class DimensionMismatch(ValueError):
-    """Operand shapes do not line up."""
-
-
 @dataclass(frozen=True)
 class BinaryMatrix:
     """Dense matrix over GF(2) with bit-packed rows."""
@@ -176,7 +172,7 @@ def rank(m: BinaryMatrix) -> int:
 def multiply(a: BinaryMatrix, b: BinaryMatrix) -> BinaryMatrix:
     """Matrix product over GF(2)."""
     if a.cols != b.rows:
-        raise DimensionMismatch(
+        raise ValueError(
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}: {a.cols} != {b.rows}"
         )
     out = []

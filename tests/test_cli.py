@@ -450,6 +450,17 @@ def test_alist_export(tmp_path):
     assert lines[3].split() == ["4"] * 9
 
 
+def test_code_alist_export_matches_oracle(lift3_workdir, tmp_path):
+    out = tmp_path / "bundle"
+    assert run("code", lift3_workdir / "graph.json", "--rotation",
+               lift3_workdir / "rotation.json", "--format", "alist", "--out", out) == 0
+    code = css.read_bundle(out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    for name, matrix in (("hx", code.hx), ("hz", code.hz)):
+        assert (out / f"{name}.alist").read_text() == gf2_oracle.to_alist(matrix)
+        assert str(out / f"{name}.alist") in manifest["outputs"]
+
+
 @settings(max_examples=300, deadline=None)
 @given(m=matrices())
 @example(m=gf2_oracle.zeros(3, 0))
@@ -537,6 +548,11 @@ def _argv(command, work):
      '"family":"voltage","kprime":1,"genus":15}', "verify", 1),
     ("bundle/code.json", '{"n":60,"k":30,"d_found":null,"d_lower":7,'
      '"family":"voltage","kprime":1,"genus":15}', "verify", 1),
+    # family labels that the [[60,30]] code does not have
+    ("bundle/code.json", '{"n":60,"k":30,"d_found":3,"d_lower":3,'
+     '"family":"paley","kprime":7,"genus":15}', "verify", 1),
+    ("bundle/code.json", '{"n":60,"k":30,"d_found":3,"d_lower":3,'
+     '"family":"toric","kprime":1,"genus":15}', "verify", 1),
     ("graph.json", '{"vertex_count":4,"edges":[[0,1],[2,3]]}', "embed-search", 2),
     ("graph.json", '{"vertex_count":1,"edges":[]}', "embed-search", 2),
     ("bundle/hz.txt", _flip_first_bit, "distance", 2),
@@ -610,4 +626,57 @@ def test_oversized_counts_exit_without_traceback(lift3_workdir, tmp_path,
         (work / target).write_text(content)
     result = run_capped(*_argv(command, work))
     assert result.returncode == expected, result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_verify_requires_each_witness_on_its_own_side(lift3_workdir, tmp_path, capsys):
+    """A witness file of the other side checks no logical of this one."""
+    for source, target in (("dx", "dz"), ("dz", "dx")):
+        work = tmp_path / target
+        shutil.copytree(lift3_workdir, work)
+        shutil.copy(work / "bundle" / f"{source}_witness.json",
+                    work / "bundle" / f"{target}_witness.json")
+        capsys.readouterr()
+        assert run("verify", work / "bundle") == 1, target
+        assert f"  FAIL  {target} witness re-verifies" in capsys.readouterr().out
+
+
+def test_code_refuses_a_family_label_the_code_does_not_have(lift3_workdir, tmp_path,
+                                                            capsys):
+    for family, kprime, message in (("voltage", 2, "has n, k, genus = 138, 92, 46"),
+                                    ("paley", 0, "has n, k, genus = 18, 2, 1"),
+                                    ("voltage", 0, "needs kprime >= 1")):
+        capsys.readouterr()
+        assert run("code", lift3_workdir / "graph.json", "--rotation",
+                   lift3_workdir / "rotation.json", "--family", family,
+                   "--kprime", kprime, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("missing, command, expected", [
+    ("graph.json", "code", 2),
+    ("rotation.json", "code", 2),
+    ("graph.json", "embed-search", 2),
+    ("bundle/hx.txt", "distance", 2),
+    ("bundle/hx.txt", "verify", 1),
+])
+def test_missing_input_exits_without_traceback(lift3_workdir, tmp_path,
+                                               missing, command, expected):
+    work = tmp_path / "w"
+    shutil.copytree(lift3_workdir, work)
+    (work / missing).unlink()
+    result = run_capped(*_argv(command, work))
+    assert result.returncode == expected, result.stderr
+    assert str(work / missing) in result.stderr   # the OSError names its path
+    assert "Traceback" not in result.stderr
+
+
+def test_distance_refuses_max_weight_zero(lift3_workdir, tmp_path):
+    work = tmp_path / "w"
+    shutil.copytree(lift3_workdir, work)
+    result = run_capped("distance", work / "bundle", "--max-weight", 0)
+    assert result.returncode == 2, result.stderr
+    assert "error: w_max must be at least 1" in result.stderr
     assert "Traceback" not in result.stderr

@@ -5,7 +5,6 @@ import pytest
 
 import field_oracle
 from paleylift.fields import (
-    FieldConstructionError,
     make_field,
     primitive_element,
     quadratic_residues,
@@ -19,12 +18,12 @@ def test_gf9_reference_modulus_accepted(gf9):
 
 def test_reducible_modulus_rejected_naming_factor():
     # x^2 + 2 = (x+1)(x+2) over Z_3
-    with pytest.raises(FieldConstructionError, match=r"divisible by x \+ 1"):
+    with pytest.raises(ValueError, match=r"divisible by x \+ 1"):
         make_field(3, 2, (2, 0, 1))
 
 
 def test_non_prime_rejected():
-    with pytest.raises(FieldConstructionError, match="not prime"):
+    with pytest.raises(ValueError, match="not prime"):
         make_field(6, 1)
 
 
@@ -137,7 +136,7 @@ def test_field_axioms_exhaustive(p, r):
 
 
 def test_field_size_cap():
-    with pytest.raises(FieldConstructionError, match="exceeds"):
+    with pytest.raises(ValueError, match="exceeds"):
         make_field(2, 21)
 
 
