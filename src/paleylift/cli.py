@@ -7,11 +7,12 @@ Artifact bytes are deterministic for identical inputs; the manifest's
 timing and counter blocks are a run log, not an artifact.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 search budget exhaustion.  The commands raise, and `main` maps what
-they raise to its exit code: SearchBudgetExceeded to 3, and a ValueError
-or OSError (malformed input, an unreadable input or unwritable output)
-to 2 with the reader's own message.  `verify` maps its bundle's faults to
-1 itself.
+3 search budget exhaustion, 141 stdout closed (as SIGPIPE would stop a
+tool).  argparse refuses malformed options, a negative --budget among them,
+with 2.  The commands raise, and `main` maps SearchBudgetExceeded to 3,
+BrokenPipeError to 141 silently, and a ValueError or OSError (malformed
+input, an unreadable input or unwritable output) to 2 with the reader's
+own message.  `verify` maps its bundle's faults to 1 itself.
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_BROKEN_PIPE = 128 + 13   # 128 + SIGPIPE
 
 
 def _sha256(path: Path) -> str:
@@ -80,8 +82,20 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
-def _parse_modulus(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(","))
+def _modulus(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, constant term first "
+            f"(e.g. 2,1,1), got {text!r}") from None
+
+
+def _budget(text: str) -> int:
+    """The type of both --budget options."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _read_witness(path: Path, side: str) -> tuple[int, tuple[int, ...]]:
@@ -143,9 +157,8 @@ def cmd_lift(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def cmd_paley(args: argparse.Namespace, argv: list[str]) -> int:
-    modulus = _parse_modulus(args.modulus) if args.modulus else None
     t0 = time.perf_counter()
-    field = fields.make_field(args.p, args.r, modulus)
+    field = fields.make_field(args.p, args.r, args.modulus)
     built = paley.build_paley(field)
     timings = {"build": time.perf_counter() - t0}
     out = _write_builder_outputs(args, argv, built.graph,
@@ -161,7 +174,7 @@ def cmd_code(args: argparse.Namespace, argv: list[str]) -> int:
     t0 = time.perf_counter()
     graph = graphs.read_graph(graph_path)
     rotation = embedding.read_rotation(rot_path, graph)
-    code = css.build_code_embedding(graph, rotation, family=args.family,
+    code = css.build_code_embedding(rotation, family=args.family,
                                     kprime=args.kprime)
     timings["build"] = time.perf_counter() - t0
     out = Path(args.out)
@@ -206,22 +219,20 @@ def cmd_distance(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def cmd_table(args: argparse.Namespace, argv: list[str]) -> int:
-    start = 1 if args.family == "voltage" else 0
+    """Print each row as it is computed: a long table costs time, not memory."""
+    start = css.FAMILIES[args.family][0]
     if args.kprime_max < start:
         return _usage_error(
             f"kprime-max must be at least {start} for family {args.family}"
         )
-    rows = [css.family_parameters(args.family, kp)
-            for kp in range(start, args.kprime_max + 1)]
     if args.csv:
         print("kprime,m,genus,n,k,rate")
-        for r in rows:
-            print(f"{r.kprime},{r.m},{r.genus},{r.n},{r.k},{r.rate:.6f}")
+        row = "{0.kprime},{0.m},{0.genus},{0.n},{0.k},{0.rate:.6f}"
     else:
         print(f"{'kprime':>6} {'m':>6} {'genus':>8} {'n':>8} {'k':>8} {'rate':>8}")
-        for r in rows:
-            print(f"{r.kprime:>6} {r.m:>6} {r.genus:>8} {r.n:>8} {r.k:>8} "
-                  f"{r.rate:>8.4f}")
+        row = "{0.kprime:>6} {0.m:>6} {0.genus:>8} {0.n:>8} {0.k:>8} {0.rate:>8.4f}"
+    for kp in range(start, args.kprime_max + 1):
+        print(row.format(css.family_parameters(args.family, kp)))
     return EXIT_OK
 
 
@@ -242,9 +253,9 @@ def cmd_embed_search(args: argparse.Namespace, argv: list[str]) -> int:
               f"({elapsed:.2f}s)")
         return EXIT_OK
     embedding.write_rotation(rotation, out)
-    faces = embedding.trace_faces(rotation)
-    print(f"found rotation system: genus {faces.genus}, "
-          f"{len(faces.faces)} faces ({elapsed:.2f}s) -> {out}")
+    # a self-dual embedding of the target genus has one face per vertex
+    print(f"found rotation system: genus {args.genus}, "
+          f"{graph.vertex_count} faces ({elapsed:.2f}s) -> {out}")
     return EXIT_OK
 
 
@@ -324,8 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("paley", help="build a Paley graph over GF(p^r)")
     p.add_argument("p", type=int, help="prime")
     p.add_argument("r", type=int, help="exponent")
-    p.add_argument("--modulus", help="monic modulus, coefficients constant-first, "
-                                     "e.g. 2,1,1 for x^2+x+2")
+    p.add_argument("--modulus", type=_modulus,
+                   help="monic modulus, coefficients constant-first, e.g. 2,1,1 "
+                        "for x^2+x+2")
     p.add_argument("--out", required=True)
     p.add_argument("--format", dest="fmt", default="text",
                    choices=["text", "alist"])
@@ -346,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "--max-weight; rewrites code.json and the witnesses")
     p.add_argument("bundle", help="code bundle directory")
     p.add_argument("--max-weight", type=int, required=True, dest="max_weight")
-    p.add_argument("--budget", type=int, default=css.DEFAULT_ENUMERATION_BUDGET,
+    p.add_argument("--budget", type=_budget, default=css.DEFAULT_ENUMERATION_BUDGET,
                    help="bound on the engine's work estimate, the sum over "
                         "H_X and H_Z of rows x cols")
 
@@ -359,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="search for a self-dual embedding of a target genus")
     p.add_argument("graph", help="graph JSON file")
     p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--budget", type=int, default=embedding.DEFAULT_SEARCH_BUDGET)
+    p.add_argument("--budget", type=_budget, default=embedding.DEFAULT_SEARCH_BUDGET)
     p.add_argument("--out", required=True, help="rotation JSON output path")
 
     p = sub.add_parser("verify", help="re-check a code bundle: the CSS condition, "
@@ -375,7 +387,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return command(args, argv)
+        status = command(args, argv)
+        sys.stdout.flush()   # here, so that a closed stdout is caught below
+        return status
+    except BrokenPipeError:
+        return EXIT_BROKEN_PIPE
     except graphs.SearchBudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -1,7 +1,7 @@
 """CSS surface codes of embedded graphs.
 
 H_X is the vertex-edge incidence matrix and H_Z the face-edge incidence
-matrix of a rotation system, so k = 2 * genus.
+matrix of a rotation system, which carries its graph, so k = 2 * genus.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional
 
 from .gf2 import BinaryMatrix, bit_flags
-from .graphs import Graph, incidence_matrix, parse_json
+from .graphs import incidence_matrix, parse_json
 from .embedding import RotationSystem, face_edge_matrix, homology_ranks, trace_faces
 
 DEFAULT_ENUMERATION_BUDGET = 10**9
@@ -36,7 +36,6 @@ class CssCode:
 
 
 def build_code_embedding(
-    graph: Graph,
     rotation: RotationSystem,
     family: str = "custom",
     kprime: Optional[int] = None,
@@ -44,8 +43,7 @@ def build_code_embedding(
     """Surface code of an embedded graph: H_X from vertices, H_Z from faces,
     k from homology_ranks; a CSS failure is a face-tracing bug.  A family
     label that disagrees with the code raises ValueError."""
-    if rotation.graph != graph:
-        raise ValueError("rotation system belongs to a different graph")
+    graph = rotation.graph
     hx = incidence_matrix(graph)
     faces = trace_faces(rotation)
     hz = face_edge_matrix(faces)
@@ -399,25 +397,24 @@ class FamilyParameters:
         return self.k / self.n
 
 
+# family -> (its first k', m - 8k'): the smallest lift has m = 16 vertices,
+# the smallest Paley graph m = 9
+FAMILIES = {"voltage": (1, 8), "paley": (0, 9)}
+
+
 def family_parameters(family: str, kprime: int) -> FamilyParameters:
     """Closed-form (n, k, m, g) for the two code families, from the graph's
-    m vertices: m = 8k' + 8 (voltage, k' >= 1; k' = 1 is the smallest
-    lift) or 8k' + 9 (paley, k' >= 0).  A self-complementary graph holds
-    half of the m(m-1)/2 vertex pairs, so n = m(m-1)/4.  A self-dual
+    m = 8k' + FAMILIES[family][1] vertices.  A self-complementary graph
+    holds half of the m(m-1)/2 vertex pairs, so n = m(m-1)/4.  A self-dual
     embedding has as many faces as vertices, so V - E + F = 2 - 2g gives
     g = (n - 2m + 2)/2, and k = 2g.
     """
-    if family == "voltage":
-        if kprime < 1:
-            raise ValueError("voltage family needs kprime >= 1 (m = 16 is the "
-                             "smallest lift)")
-        m = 8 * kprime + 8
-    elif family == "paley":
-        if kprime < 0:
-            raise ValueError("paley family needs kprime >= 0")
-        m = 8 * kprime + 9
-    else:
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    first, offset = FAMILIES[family]
+    if kprime < first:
+        raise ValueError(f"{family} family needs kprime >= {first}")
+    m = 8 * kprime + offset
     n = m * (m - 1) // 4
     genus = (n - 2 * m + 2) // 2
     return FamilyParameters(family=family, kprime=kprime, m=m, genus=genus,

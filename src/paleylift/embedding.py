@@ -4,7 +4,10 @@ homology ranks, and a bounded search for self-dual embeddings.
 Darts: edge e contributes dart 2e at its smaller endpoint and dart 2e+1 at
 its larger endpoint; reversal is xor with 1.  A face walk steps from a dart
 to the rotation successor of its reversal, the standard convention for
-orientable embeddings.
+orientable embeddings.  On a connected graph with an edge every rotation
+system is a cellular embedding in a closed orientable surface (Gross &
+Tucker, Topological Graph Theory, 3.2), so trace_faces reads the genus off
+V - E + F = 2 - 2g without a check.
 """
 from __future__ import annotations
 
@@ -51,14 +54,6 @@ class RotationSystem:
                     f"{sorted(rot)} != {expected[v]}"
                 )
 
-    def successor_table(self) -> list[int]:
-        succ = [0] * (2 * self.graph.edge_count)
-        for rot in self.rotations:
-            k = len(rot)
-            for i in range(k):
-                succ[rot[i]] = rot[(i + 1) % k]
-        return succ
-
 
 @dataclass(frozen=True)
 class FaceSet:
@@ -70,16 +65,15 @@ class FaceSet:
 
 
 def trace_faces(rs: RotationSystem) -> FaceSet:
-    """Trace all faces; requires a connected graph with a vertex.
-
-    A negative or fractional genus cannot arise from a valid rotation
-    system on a connected graph, so it is rejected as input corruption.
-    """
+    """Trace all faces; requires a connected graph with an edge."""
     g = rs.graph
-    if not (g.vertex_count and g.is_connected()):
-        raise ValueError("face tracing requires a connected graph with a vertex")
-    succ = rs.successor_table()
+    if not (g.edge_count and g.is_connected()):
+        raise ValueError("face tracing requires a connected graph with an edge")
     num_darts = 2 * g.edge_count
+    succ = [0] * num_darts
+    for rot in rs.rotations:
+        for d, nxt in zip(rot, rot[1:] + rot[:1]):
+            succ[d] = nxt
     visited = [False] * num_darts
     faces = []
     for d0 in range(num_darts):
@@ -92,10 +86,7 @@ def trace_faces(rs: RotationSystem) -> FaceSet:
             walk.append(d)
             d = succ[d ^ 1]
         faces.append(tuple(walk))
-    chi = g.vertex_count - g.edge_count + len(faces)
-    if chi % 2 != 0 or chi > 2:
-        raise ValueError(f"non-cellular anomaly: Euler characteristic {chi}")
-    genus = (2 - chi) // 2
+    genus = (2 - g.vertex_count + g.edge_count - len(faces)) // 2
     return FaceSet(graph=g, faces=tuple(faces), genus=genus)
 
 
@@ -154,9 +145,8 @@ def homology_ranks(hx: BinaryMatrix, hz: BinaryMatrix) -> int:
     beta1 = cols - rank(hx) - rank(hz): a surface code's k.
 
     Requires hx hz^T = 0; the first violating row pair is named otherwise.
+    Unequal column counts are refused by multiply.
     """
-    if hx.cols != hz.cols:
-        raise ValueError(f"column counts differ: {hx.cols} != {hz.cols}")
     prod = multiply(hx, hz.transpose())
     for i in range(prod.rows):
         if prod.row_bits[i]:
@@ -195,12 +185,14 @@ def search_self_dual_embedding(
     lexicographic order, so the first witness in enumeration order is
     returned.  Pruning: a partial assignment dies when a closed face has a
     length unavailable in the degree multiset of the graph (the dual must
-    reproduce that multiset), when the face count overshoots, or when an
-    open face segment is already longer than the largest degree.  Each open
-    segment is walked whole, from its dart at an unassigned vertex, so the
-    last prune sees its full length.  The prunes only cut branches with no
-    witness, so they change the node count and not the result.  A complete
-    assignment is checked with trace_faces, dual_graph and find_isomorphism.
+    reproduce that multiset), or when an open face segment is already
+    longer than the largest degree.  Each open segment is walked whole,
+    from its dart at an unassigned vertex, so the last prune sees its full
+    length.  The prunes only cut branches with no witness, so they change
+    the node count and not the result.  A complete assignment's face
+    lengths come from the degree multiset and sum to the dart count, as the
+    whole multiset does, so it has a face per vertex and the target genus;
+    it is accepted if its dual is a simple graph isomorphic to the input.
 
     Returns None when the space is exhausted (definitive absence).  Raises
     SearchBudgetExceeded when the node budget runs out first - that outcome
@@ -231,7 +223,6 @@ def search_self_dual_embedding(
 
     def partial_ok() -> bool:
         visited = [False] * num_darts
-        closed = 0
         allowed = dict(deg_multiset)
         # A face step ends at a dart whose tail is assigned, so the darts at
         # unassigned vertices start the open segments: walking from them
@@ -257,28 +248,21 @@ def search_self_dual_embedding(
                     is_closed = True
                     break
             if is_closed:
-                closed += 1
                 remaining = allowed.get(length, 0)
-                if remaining == 0 or closed > faces_needed:
+                if remaining == 0:
                     return False
                 allowed[length] = remaining - 1
         return True
-
-    def accept_full(chosen: tuple[tuple[int, ...], ...]) -> Optional[RotationSystem]:
-        rotation = RotationSystem(graph, chosen)
-        faces = trace_faces(rotation)
-        if faces.genus != target_genus:
-            return None
-        dual = dual_graph(rotation, faces)
-        if not dual.is_simple or find_isomorphism(dual.graph, graph) is None:
-            return None
-        return rotation
 
     def dfs(chosen: tuple[tuple[int, ...], ...]) -> Optional[RotationSystem]:
         """Extend the candidates chosen at vertices 0 .. len(chosen) - 1."""
         nonlocal nodes
         if len(chosen) == m:
-            return accept_full(chosen)
+            rotation = RotationSystem(graph, chosen)
+            dual = dual_graph(rotation)
+            if not dual.is_simple or find_isomorphism(dual.graph, graph) is None:
+                return None
+            return rotation
         for seq in candidates[len(chosen)]:
             nodes += 1
             if nodes > budget:

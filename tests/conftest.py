@@ -31,10 +31,10 @@ def paley9_rotation(paley9):
 
 
 @pytest.fixture(scope="session")
-def lift3_code(lift3):
+def lift3_code():
     """The [[60,30]] surface code of the t=3 derived embedding."""
     rotation = voltage.derived_embedding(voltage.build_voltage_graph(3))
-    return css.build_code_embedding(lift3, rotation, family="voltage", kprime=1)
+    return css.build_code_embedding(rotation, family="voltage", kprime=1)
 
 
 @pytest.fixture(scope="session")

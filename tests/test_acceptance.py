@@ -75,8 +75,7 @@ def test_criterion_3_18_2_3_end_to_end(paley9, tmp_path):
 
         t0 = time.perf_counter()
         cached = embedding.read_rotation(cache, paley9.graph)
-        code = css.build_code_embedding(paley9.graph, cached,
-                                        family="paley", kprime=0)
+        code = css.build_code_embedding(cached, family="paley", kprime=0)
         assert (code.n, code.k) == (18, 2)
         report = css.distance_search(code, 3)
         rerun_time = time.perf_counter() - t0
@@ -96,8 +95,7 @@ def test_criterion_4_60_30_end_to_end(lift3):
 
         rotation = voltage.derived_embedding(voltage.build_voltage_graph(3))
         assert rotation.graph == lift3
-        code = css.build_code_embedding(lift3, rotation,
-                                        family="voltage", kprime=1)
+        code = css.build_code_embedding(rotation, family="voltage", kprime=1)
         assert (code.n, code.k, code.genus) == (60, 30, 15)
         assert not any(gf2.multiply(code.hx, code.hz.transpose()).row_bits)
 

@@ -332,19 +332,24 @@ def test_verify_names_the_css_row_pair(lift3_workdir, tmp_path, capsys):
     assert "  FAIL  k = n - rank(hx) - rank(hz)" in lines
 
 
-def run_capped(*argv):
-    """The CLI in a child process that caps its own address space at 1 GiB,
-    so that an input sizing a large allocation fails the calling test
+def capped(script, argv):
+    """Command line and environment of a child process that caps its own
+    address space at 1 GiB, imports the CLI's main and runs script with
+    argv, so that an input sizing a large allocation fails the calling test
     instead of exhausting memory."""
-    script = ("import resource, sys\n"
-              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-              "from paleylift.cli import main\n"
-              "sys.exit(main(sys.argv[1:]))\n")
+    prologue = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "from paleylift.cli import main\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", script, *map(str, argv)],
-                          env=env, capture_output=True, text=True, timeout=60)
+    return [sys.executable, "-c", prologue + script, *map(str, argv)], env
+
+
+def run_capped(*argv):
+    """The CLI in a capped child process (see capped)."""
+    command, env = capped("sys.exit(main(sys.argv[1:]))\n", argv)
+    return subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
 
 
 def test_builders_refuse_graphs_over_the_vertex_limit(tmp_path):
@@ -374,16 +379,21 @@ def test_verify_empty_bundle_usage_error(tmp_path):
 
 def test_code_bad_graph_file_usage_error(tmp_path, capsys):
     bad, rot = tmp_path / "bad.json", tmp_path / "rot.json"
-    for graph, rotations in (
-            ('{"vertex_count": 2, "edges": [[0, 0]]}', '{"rotations": [[], []]}'),
-            ('{"vertex_count":3,"edges":[[0,1,2]]}', '{"rotations": [[], [], []]}'),
+    for graph, rotations, message in (
+            ('{"vertex_count": 2, "edges": [[0, 0]]}', '{"rotations": [[], []]}', ""),
+            ('{"vertex_count":3,"edges":[[0,1,2]]}', '{"rotations": [[], [], []]}', ""),
             # connected by convention, but it has no faces to trace
-            ('{"vertex_count":0,"edges":[]}', '{"rotations":[]}')):
+            ('{"vertex_count":0,"edges":[]}', '{"rotations":[]}',
+             "connected graph with an edge"),
+            # connected, but it has no dart to trace a face from
+            ('{"vertex_count":1,"edges":[]}', '{"rotations":[[]]}',
+             "connected graph with an edge")):
         bad.write_text(graph)
         rot.write_text(rotations)
         capsys.readouterr()
         assert run("code", bad, "--rotation", rot, "--out", tmp_path / "b") == 2, graph
-        assert capsys.readouterr().err.startswith("error: "), graph
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, graph
     assert not (tmp_path / "b").exists()
 
 
@@ -413,6 +423,17 @@ def test_embed_search_rejects_vertex_transitive(tmp_path):
             "--vertex-transitive", "--out", tmp_path / "r.json")
     assert exc.value.code == 2
     assert not (tmp_path / "r.json").exists()
+
+
+def test_embed_search_reports_the_genus_and_faces_it_searched_for(tmp_path, capsys):
+    """The README's Paley-9 search: its witness after 1,724 nodes has the
+    target genus and one face per vertex."""
+    paley_dir = tmp_path / "p"
+    assert run(*PALEY9, "--out", paley_dir) == 0
+    capsys.readouterr()
+    assert run("embed-search", paley_dir / "graph.json", "--genus", 1,
+               "--budget", 1724, "--out", tmp_path / "r.json") == 0
+    assert "found rotation system: genus 1, 9 faces (" in capsys.readouterr().out
 
 
 def test_embed_search_absence_report(tmp_path):
@@ -680,3 +701,89 @@ def test_distance_refuses_max_weight_zero(lift3_workdir, tmp_path):
     assert result.returncode == 2, result.stderr
     assert "error: w_max must be at least 1" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("embed-search", "graph.json", "--genus", 15, "--out", "out/found.json"),
+    ("distance", "bundle", "--max-weight", 3),
+], ids=["embed-search", "distance"])
+def test_budget_refuses_a_negative_value(lift3_workdir, tmp_path, argv):
+    """Both --budget options are checked as they are parsed, before a search
+    runs or a file is written (genus 15 is the lift's self-dual genus, which
+    the search explores)."""
+    work = tmp_path / "w"
+    shutil.copytree(lift3_workdir, work)
+    code_json = (work / "bundle" / "code.json").read_bytes()
+    command, target, *rest = argv
+    result = run_capped(command, work / target, *rest, "--budget", -1)
+    assert result.returncode == 2, result.stderr
+    assert "error: argument --budget: expected an integer >= 0, got '-1'" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (work / "out").exists()
+    assert (work / "bundle" / "code.json").read_bytes() == code_json
+
+
+@pytest.mark.parametrize("modulus", [",", "2,x,1"])
+def test_paley_names_a_malformed_modulus(tmp_path, modulus):
+    result = run_capped("paley", 3, 2, "--modulus", modulus, "--out", tmp_path / "x")
+    assert result.returncode == 2, result.stderr
+    assert ("error: argument --modulus: expected comma-separated integers, "
+            "constant term first") in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "x").exists()
+
+
+def test_closed_stdout_ends_quietly_with_status_141():
+    """A reader that closes the pipe after three lines of a 10^8-row table
+    stops the CLI as SIGPIPE stops a tool: status 128 + 13, nothing on
+    stderr."""
+    command, env = capped("sys.exit(main(sys.argv[1:]))\n",
+                          ("table", "--family", "voltage", "--kprime-max", 10**8))
+    with subprocess.Popen(command, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True) as child:
+        try:
+            lines = [child.stdout.readline() for _ in range(3)]
+            child.stdout.close()
+            status = child.wait(timeout=60)
+        finally:
+            child.kill()
+        stderr = child.stderr.read()
+    assert lines[0].split() == ["kprime", "m", "genus", "n", "k", "rate"]
+    assert lines[1].split()[:2] == ["1", "16"] and lines[2].split()[:2] == ["2", "24"]
+    assert (status, stderr) == (141, "")
+
+
+# stdout is a writer that takes five lines and then stops the command; the
+# child reports the lines it took and the traced peak since main began
+FIVE_LINES = """import tracemalloc
+class Stop(Exception):
+    pass
+class FiveLines:
+    newlines = 0
+    def write(self, text):
+        if self.newlines == 5:
+            raise Stop
+        self.newlines += text.count("\\n")
+    def flush(self):
+        pass
+real, sys.stdout = sys.stdout, FiveLines()
+tracemalloc.start()
+try:
+    main(sys.argv[1:])
+except Stop:
+    pass
+real.write(f"{sys.stdout.newlines} {tracemalloc.get_traced_memory()[1]}\\n")
+"""
+
+
+def test_table_streams_its_rows():
+    """table prints each row as it computes it: five lines of a 10^8-row
+    table cost well under 1 MB."""
+    command, env = capped(FIVE_LINES, ("table", "--family", "voltage",
+                                       "--kprime-max", 10**8))
+    result = subprocess.run(command, env=env, capture_output=True, text=True,
+                            timeout=60)
+    assert result.returncode == 0, result.stderr
+    lines, peak = map(int, result.stdout.split())
+    assert lines == 5
+    assert peak < 1 << 20, peak

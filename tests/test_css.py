@@ -36,8 +36,7 @@ def assert_valid(code):
 # -- embedding mode ------------------------------------------------------------
 
 def test_embedding_code_paley9(paley9, paley9_rotation):
-    code = build_code_embedding(paley9.graph, paley9_rotation,
-                                family="paley", kprime=0)
+    code = build_code_embedding(paley9_rotation, family="paley", kprime=0)
     assert (code.n, code.k) == (18, 2)
     assert code.genus == 1
     assert_valid(code)
@@ -45,15 +44,10 @@ def test_embedding_code_paley9(paley9, paley9_rotation):
 
 def test_embedding_code_c4_trivial():
     g = cycle_graph(4)
-    code = build_code_embedding(g, embedding_oracle.index_order_rotation(g))
+    code = build_code_embedding(embedding_oracle.index_order_rotation(g))
     assert (code.n, code.k) == (4, 0)
     assert code.genus == 0
     assert_valid(code)
-
-
-def test_embedding_rejects_wrong_graph(paley9, paley9_rotation):
-    with pytest.raises(ValueError, match="different graph"):
-        build_code_embedding(cycle_graph(4), paley9_rotation)
 
 
 def test_embedding_css_fault_is_an_assertion(paley9, paley9_rotation, monkeypatch):
@@ -65,13 +59,13 @@ def test_embedding_css_fault_is_an_assertion(paley9, paley9_rotation, monkeypatc
 
     monkeypatch.setattr(css, "face_edge_matrix", flipped)
     with pytest.raises(AssertionError, match="row 0 of hx and row 0 of hz overlap oddly"):
-        build_code_embedding(paley9.graph, paley9_rotation)
+        build_code_embedding(paley9_rotation)
 
 
 # -- distance ---------------------------------------------------------------------
 
 def test_distance_paley9_embedding(paley9, paley9_rotation):
-    code = build_code_embedding(paley9.graph, paley9_rotation)
+    code = build_code_embedding(paley9_rotation)
     report = distance_search(code, 3)
     assert report.d_found == 3
     assert report.conclusion == "d = 3"
@@ -116,7 +110,7 @@ def test_distance_budget_rejected(lift3_code):
 
 def test_distance_k0_code_has_no_logicals():
     g = triangle()
-    code = build_code_embedding(g, embedding_oracle.index_order_rotation(g))
+    code = build_code_embedding(embedding_oracle.index_order_rotation(g))
     assert (code.n, code.k, code.genus) == (3, 0, 0)
     report = distance_search(code, 3)
     assert report.d_found is None
@@ -124,7 +118,7 @@ def test_distance_k0_code_has_no_logicals():
 
 
 def test_apply_distance_report(paley9, paley9_rotation):
-    code = build_code_embedding(paley9.graph, paley9_rotation)
+    code = build_code_embedding(paley9_rotation)
     report = distance_search(code, 3)
     apply_distance_report(code, report)
     assert code.d_found == 3
@@ -133,7 +127,7 @@ def test_apply_distance_report(paley9, paley9_rotation):
 
 
 def test_shallower_rerun_does_not_erase_knowledge(paley9, paley9_rotation):
-    code = build_code_embedding(paley9.graph, paley9_rotation)
+    code = build_code_embedding(paley9_rotation)
     apply_distance_report(code, distance_search(code, 3))
     apply_distance_report(code, distance_search(code, 1))
     assert code.d_found == 3
@@ -142,7 +136,7 @@ def test_shallower_rerun_does_not_erase_knowledge(paley9, paley9_rotation):
 
 
 def test_witness_verification_rejects_junk(paley9, paley9_rotation):
-    code = build_code_embedding(paley9.graph, paley9_rotation)
+    code = build_code_embedding(paley9_rotation)
     report = distance_search(code, 3)
     assert not verify_witness(code, "Z", (0,))
     assert not verify_witness(code, "Z", report.dz_witness + (99,))
@@ -200,8 +194,7 @@ def test_family_domain_errors():
 # -- bundles -----------------------------------------------------------------------
 
 def test_bundle_round_trip(paley9, paley9_rotation, tmp_path):
-    code = build_code_embedding(paley9.graph, paley9_rotation,
-                                family="paley", kprime=0)
+    code = build_code_embedding(paley9_rotation, family="paley", kprime=0)
     apply_distance_report(code, distance_search(code, 3))
     write_bundle(code, tmp_path / "bundle")
     back = read_bundle(tmp_path / "bundle")

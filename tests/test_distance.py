@@ -47,7 +47,7 @@ def multiplier_cayley_map(built: paley.PaleyGraph) -> RotationSystem:
 def _paley_code(p, r):
     built = paley.build_paley(fields.make_field(p, r))
     kprime = (p ** r - 9) // 8
-    code = build_code_embedding(built.graph, multiplier_cayley_map(built),
+    code = build_code_embedding(multiplier_cayley_map(built),
                                 family="paley", kprime=kprime)
     expected = family_parameters("paley", kprime)
     assert (code.n, code.k, code.genus) == (expected.n, expected.k, expected.genus)
@@ -56,7 +56,7 @@ def _paley_code(p, r):
 
 def _lift_code(t):
     rotation = voltage.derived_embedding(voltage.build_voltage_graph(t))
-    return build_code_embedding(rotation.graph, rotation, family="voltage")
+    return build_code_embedding(rotation, family="voltage")
 
 
 def _toric_code(size):
@@ -76,12 +76,12 @@ def _toric_code(size):
                 2 * edge_index[(min(v, w), max(v, w))] + (v > w)
                 for w in (vertex(i, j + 1), vertex(i + 1, j),
                           vertex(i, j - 1), vertex(i - 1, j))))
-    return build_code_embedding(g, RotationSystem(g, tuple(rotations)))
+    return build_code_embedding(RotationSystem(g, tuple(rotations)))
 
 
 def _triangle_code():
     g = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    return build_code_embedding(g, embedding_oracle.index_order_rotation(g))
+    return build_code_embedding(embedding_oracle.index_order_rotation(g))
 
 
 BUILDERS = {
@@ -138,7 +138,7 @@ def test_zero_columns_are_weight_one_logicals():
     weight_one = 0
     for tails in itertools.product(*(itertools.permutations(d[1:]) for d in darts)):
         rotation = RotationSystem(g, tuple((d[0],) + t for d, t in zip(darts, tails)))
-        code = build_code_embedding(g, rotation)
+        code = build_code_embedding(rotation)
         for w in (1, 2):
             report = distance_search(code, w)
             assert report == brute_force_distance(code, w)
@@ -409,7 +409,7 @@ def embedded_graphs(draw):
 @settings(max_examples=150, deadline=None)
 @given(rotation=embedded_graphs(), w=st.integers(1, 4))
 def test_engine_agrees_with_brute_force_on_random_embeddings(rotation, w):
-    code = build_code_embedding(rotation.graph, rotation)
+    code = build_code_embedding(rotation)
     engine = distance_search(code, w)
     oracle = brute_force_distance(code, w)
     assert (engine.d_found, engine.d_lower) == (oracle.d_found, oracle.d_lower)

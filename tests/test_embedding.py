@@ -261,10 +261,11 @@ def test_search_node_count_on_paley9():
 
 
 @st.composite
-def small_connected_graphs(draw):
-    """A connected simple graph on 2 to 5 vertices (so of maximum degree at
-    most 4): a random spanning tree plus random further edges."""
-    n = draw(st.integers(2, 5))
+def small_connected_graphs(draw, max_vertices=5):
+    """A connected simple graph on 2 to max_vertices vertices (by default
+    of maximum degree at most 4): a random spanning tree plus random
+    further edges."""
+    n = draw(st.integers(2, max_vertices))
     tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     others = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
     extra = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
@@ -280,6 +281,20 @@ def test_search_matches_exhaustive_oracle(graph, genus, matched):
         genus = excess // 2
     assert (search_self_dual_embedding(graph, target_genus=genus)
             == first_self_dual_embedding(graph, genus))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=small_connected_graphs(max_vertices=8), data=st.data())
+def test_every_rotation_system_is_cellular(graph, data):
+    """A rotation system of a connected graph with an edge embeds it
+    cellularly in a closed orientable surface, so V - E + F = 2 - 2g with an
+    integer g >= 0; trace_faces relies on this and does not check it."""
+    rotations = tuple(tuple(data.draw(st.permutations(darts)))
+                      for darts in incident_darts(graph))
+    faces = trace_faces(RotationSystem(graph, rotations))
+    assert sorted(d for walk in faces.faces for d in walk) == list(range(2 * graph.edge_count))
+    chi = graph.vertex_count - graph.edge_count + len(faces.faces)
+    assert chi == 2 - 2 * faces.genus and faces.genus >= 0
 
 
 def test_search_deterministic(paley9, paley9_rotation):

@@ -21,6 +21,9 @@ NEVER_ENTERED = {
     "paley.smallest_nonresidue": "the benchmark's multiplier certificate, and item 2",
     "paley.verify_self_complementary_via_multiplier":
         "the benchmark's multiplier certificate, and item 2",
+    "graphs.Graph.__eq__":
+        "tests compare graphs; a rotation system carries its own graph, so no "
+        "command checks that two graphs agree",
     "graphs.Graph.__hash__": "a Graph defines __eq__, so it defines __hash__",
     "graphs.Graph.__repr__": "the graph's repr, for debugging",
     "graphs.complement": "the benchmark's certificate stage, and item 2",
@@ -54,11 +57,14 @@ def defined_functions() -> dict[tuple[Path, int, str], str]:
 
 def chains(out: Path) -> list[list[str]]:
     """The README's two worked instances and its tables, with the distance
-    bounds and the alist exports that test_cli.py runs on them."""
+    bounds, the alist exports and the search's node budget that test_cli.py
+    runs on them."""
     return [
         ["paley", "3", "2", "--modulus", "2,1,1", "--out", f"{out}/paley9"],
         ["embed-search", f"{out}/paley9/graph.json", "--genus", "1",
          "--out", f"{out}/paley9_rotation.json"],
+        ["embed-search", f"{out}/paley9/graph.json", "--genus", "1",
+         "--budget", "1724", "--out", f"{out}/paley9_rotation.json"],
         ["code", f"{out}/paley9/graph.json", "--rotation", f"{out}/paley9_rotation.json",
          "--family", "paley", "--kprime", "0", "--out", f"{out}/code18"],
         ["distance", f"{out}/code18", "--max-weight", "2"],

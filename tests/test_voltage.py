@@ -208,7 +208,7 @@ def test_derived_embedding_is_self_dual(t):
     vg = build_voltage_graph(t)
     rotation = derived_embedding(vg)
     assert rotation.graph == lift(vg)
-    code = css.build_code_embedding(rotation.graph, rotation)
+    code = css.build_code_embedding(rotation)
     expected = css.family_parameters("voltage", 2 ** (t - 2) - 1)
     assert (code.n, code.k, code.genus) == (expected.n, expected.k, expected.genus)
     faces = embedding.trace_faces(rotation)
