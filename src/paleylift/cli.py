@@ -8,11 +8,12 @@ timing and counter blocks are a run log, not an artifact.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 search budget exhaustion, 141 stdout closed (as SIGPIPE would stop a
-tool).  argparse refuses malformed options, a negative --budget among them,
-with 2.  The commands raise, and `main` maps SearchBudgetExceeded to 3,
-BrokenPipeError to 141 silently, and a ValueError or OSError (malformed
-input, an unreadable input or unwritable output) to 2 with the reader's
-own message.  `verify` maps its bundle's faults to 1 itself.
+tool).  argparse refuses malformed options, a negative --budget or --genus
+among them, with 2.  The commands raise, and `main` maps
+SearchBudgetExceeded to 3, BrokenPipeError to 141 silently, and a
+ValueError or OSError (malformed input, an unreadable input or unwritable
+output) to 2 with the reader's own message.  `verify` maps its bundle's
+faults to 1 itself.
 """
 from __future__ import annotations
 
@@ -91,11 +92,14 @@ def _modulus(text: str) -> tuple[int, ...]:
             f"(e.g. 2,1,1), got {text!r}") from None
 
 
-def _budget(text: str) -> int:
-    """The type of both --budget options."""
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return int(text)
+def _non_negative(text: str) -> int:
+    """The type of both --budget options and of --genus."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
 
 
 def _read_witness(path: Path, side: str) -> tuple[int, tuple[int, ...]]:
@@ -358,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "--max-weight; rewrites code.json and the witnesses")
     p.add_argument("bundle", help="code bundle directory")
     p.add_argument("--max-weight", type=int, required=True, dest="max_weight")
-    p.add_argument("--budget", type=_budget, default=css.DEFAULT_ENUMERATION_BUDGET,
+    p.add_argument("--budget", type=_non_negative, default=css.DEFAULT_ENUMERATION_BUDGET,
                    help="bound on the engine's work estimate, the sum over "
                         "H_X and H_Z of rows x cols")
 
@@ -370,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed-search",
                        help="search for a self-dual embedding of a target genus")
     p.add_argument("graph", help="graph JSON file")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--budget", type=_budget, default=embedding.DEFAULT_SEARCH_BUDGET)
+    p.add_argument("--genus", type=_non_negative, required=True)
+    p.add_argument("--budget", type=_non_negative, default=embedding.DEFAULT_SEARCH_BUDGET)
     p.add_argument("--out", required=True, help="rotation JSON output path")
 
     p = sub.add_parser("verify", help="re-check a code bundle: the CSS condition, "

@@ -142,7 +142,8 @@ def dual_graph(rs: RotationSystem, faces: Optional[FaceSet] = None) -> DualGraph
 
 def homology_ranks(hx: BinaryMatrix, hz: BinaryMatrix) -> int:
     """The first mod-2 Betti number of the chain complex defined by (hx, hz),
-    beta1 = cols - rank(hx) - rank(hz): a surface code's k.
+    beta1 = cols - rank(hx) - rank(hz): a surface code's k.  `verify` checks
+    a bundle's k with it; `code` writes k = 2 * genus without it.
 
     Requires hx hz^T = 0; the first violating row pair is named otherwise.
     Unequal column counts are refused by multiply.

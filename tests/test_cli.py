@@ -257,9 +257,10 @@ def test_distance_manifest_records_work_counters(tmp_path):
 
 def test_each_command_eliminates_each_matrix_at_most_once(tmp_path, monkeypatch):
     """gf2._eliminate runs only for a rank or a membership test, and once per
-    matrix: code and verify take both ranks, and verify's witnesses reuse
-    them; distance settles w = 2 on the columns, and at w = 3 each side's
-    first membership test reduces the other side's matrix."""
+    matrix: code takes no rank (k = 2 * genus), verify takes both and its
+    witnesses reuse them; distance settles w = 2 on the columns, and at
+    w = 3 each side's first membership test reduces the other side's
+    matrix."""
     calls = []
     eliminate = gf2._eliminate
     monkeypatch.setattr(gf2, "_eliminate",
@@ -274,7 +275,7 @@ def test_each_command_eliminates_each_matrix_at_most_once(tmp_path, monkeypatch)
     lift_dir, bundle = tmp_path / "lift3", tmp_path / "bundle60"
     assert run("lift", 3, "--out", lift_dir) == 0
     assert eliminations("code", lift_dir / "graph.json", "--rotation",
-                        lift_dir / "rotation.json", "--out", bundle) == 2
+                        lift_dir / "rotation.json", "--out", bundle) == 0
     assert eliminations("distance", bundle, "--max-weight", 2) == 0
     assert eliminations("distance", bundle, "--max-weight", 3) == 2
     assert (bundle / "dz_witness.json").exists() and (bundle / "dx_witness.json").exists()
@@ -292,6 +293,36 @@ def test_builders_transpose_nothing(tmp_path, monkeypatch):
         assert run("paley", p, r, "--out", tmp_path / f"paley{p ** r}") == 0
     for t in range(3, 7):
         assert run("lift", t, "--out", tmp_path / f"lift{t}") == 0
+
+
+def test_code_multiplies_and_transposes_nothing(tmp_path):
+    """code writes k = 2 * genus: neither gf2.multiply nor
+    BinaryMatrix.transpose runs, under any name a module imported it by.
+    verify, on the same bundle, runs both."""
+    watched = {gf2.multiply.__code__: "multiply",
+               gf2.BinaryMatrix.transpose.__code__: "transpose"}
+
+    def called(*argv):
+        seen = set()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in watched:
+                seen.add(watched[frame.f_code])
+
+        sys.setprofile(profile)
+        try:
+            assert run(*argv) == 0
+        finally:
+            sys.setprofile(None)
+        return seen
+
+    for t in (3, 4):
+        work = tmp_path / f"lift{t}"
+        assert run("lift", t, "--out", work) == 0
+        assert called("code", work / "graph.json", "--rotation", work / "rotation.json",
+                      "--family", "voltage", "--kprime", 2 ** (t - 2) - 1,
+                      "--out", work / "bundle") == set()
+        assert called("verify", work / "bundle") == {"multiply", "transpose"}
 
 
 def test_code_requires_exactly_one_mode(tmp_path):
@@ -710,17 +741,33 @@ def test_distance_refuses_max_weight_zero(lift3_workdir, tmp_path):
 def test_budget_refuses_a_negative_value(lift3_workdir, tmp_path, argv):
     """Both --budget options are checked as they are parsed, before a search
     runs or a file is written (genus 15 is the lift's self-dual genus, which
-    the search explores)."""
+    the search explores); a non-integer is refused with the same form."""
     work = tmp_path / "w"
     shutil.copytree(lift3_workdir, work)
     code_json = (work / "bundle" / "code.json").read_bytes()
     command, target, *rest = argv
-    result = run_capped(command, work / target, *rest, "--budget", -1)
+    for value in ("-1", "abc"):
+        result = run_capped(command, work / target, *rest, "--budget", value)
+        assert result.returncode == 2, result.stderr
+        assert (f"error: argument --budget: expected an integer >= 0, got '{value}'"
+                in result.stderr)
+        assert "Traceback" not in result.stderr
+        assert not (work / "out").exists()
+        assert (work / "bundle" / "code.json").read_bytes() == code_json
+
+
+@pytest.mark.parametrize("genus", ["-1", "abc"])
+def test_embed_search_refuses_a_negative_genus(lift3_workdir, tmp_path, genus):
+    """A negative or non-integer genus is a malformed query, not an absence:
+    exit 2, and no report is written."""
+    out = tmp_path / "out" / "found.json"
+    result = run_capped("embed-search", lift3_workdir / "graph.json",
+                        "--genus", genus, "--out", out)
     assert result.returncode == 2, result.stderr
-    assert "error: argument --budget: expected an integer >= 0, got '-1'" in result.stderr
-    assert "Traceback" not in result.stderr
-    assert not (work / "out").exists()
-    assert (work / "bundle" / "code.json").read_bytes() == code_json
+    assert (f"error: argument --genus: expected an integer >= 0, got '{genus}'"
+            in result.stderr)
+    assert "Traceback" not in result.stderr and not result.stdout
+    assert not out.parent.exists()
 
 
 @pytest.mark.parametrize("modulus", [",", "2,x,1"])

@@ -1,7 +1,7 @@
 import pytest
 
 import embedding_oracle
-from paleylift import css, embedding, gf2
+from paleylift import gf2
 from paleylift.css import (
     CssCode,
     apply_distance_report,
@@ -48,18 +48,6 @@ def test_embedding_code_c4_trivial():
     assert (code.n, code.k) == (4, 0)
     assert code.genus == 0
     assert_valid(code)
-
-
-def test_embedding_css_fault_is_an_assertion(paley9, paley9_rotation, monkeypatch):
-    """A face matrix that fails hx hz^T = 0 is a face-tracing bug, never a
-    ValueError (which the CLI reports as a usage error)."""
-    def flipped(faces):
-        hz = embedding.face_edge_matrix(faces)
-        return gf2.BinaryMatrix(hz.rows, hz.cols, (hz.row_bits[0] ^ 1,) + hz.row_bits[1:])
-
-    monkeypatch.setattr(css, "face_edge_matrix", flipped)
-    with pytest.raises(AssertionError, match="row 0 of hx and row 0 of hz overlap oddly"):
-        build_code_embedding(paley9_rotation)
 
 
 # -- distance ---------------------------------------------------------------------

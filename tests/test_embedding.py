@@ -288,13 +288,16 @@ def test_search_matches_exhaustive_oracle(graph, genus, matched):
 def test_every_rotation_system_is_cellular(graph, data):
     """A rotation system of a connected graph with an edge embeds it
     cellularly in a closed orientable surface, so V - E + F = 2 - 2g with an
-    integer g >= 0; trace_faces relies on this and does not check it."""
+    integer g >= 0, and its surface code has H_X H_Z^T = 0 and k = 2g;
+    trace_faces and `code` rely on this and do not check it."""
     rotations = tuple(tuple(data.draw(st.permutations(darts)))
                       for darts in incident_darts(graph))
     faces = trace_faces(RotationSystem(graph, rotations))
     assert sorted(d for walk in faces.faces for d in walk) == list(range(2 * graph.edge_count))
     chi = graph.vertex_count - graph.edge_count + len(faces.faces)
     assert chi == 2 - 2 * faces.genus and faces.genus >= 0
+    assert homology_ranks(graphs.incidence_matrix(graph),
+                          face_edge_matrix(faces)) == 2 * faces.genus
 
 
 def test_search_deterministic(paley9, paley9_rotation):
