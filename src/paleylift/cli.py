@@ -24,11 +24,10 @@ import hashlib
 import json
 import sys
 import time
-from itertools import compress
 from pathlib import Path
 
 from . import css, embedding, fields, graphs, paley, voltage
-from .gf2 import BinaryMatrix, bit_flags
+from .gf2 import BinaryMatrix
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -57,27 +56,6 @@ def _write_manifest(out_dir: Path, argv: list[str], inputs: list[Path],
     )
 
 
-def _matrix_to_alist(m: BinaryMatrix) -> str:
-    """MacKay alist export (unpadded): columns first, 1-based indices.
-    Each row's list is one compress over its bit_flags; the columns' lists
-    are then filled from the rows', in O(nonzeros) appends."""
-    positions = list(range(1, m.cols + 1))
-    rows = [list(compress(positions, bit_flags(r, m.cols))) for r in m.row_bits]
-    cols: list[list[int]] = [[] for _ in positions]
-    for i, row in enumerate(rows, 1):
-        for j in row:
-            cols[j - 1].append(i)
-    lines = [
-        f"{m.cols} {m.rows}",
-        f"{max((len(c) for c in cols), default=0)} {max((len(r) for r in rows), default=0)}",
-        " ".join(str(len(c)) for c in cols),
-        " ".join(str(len(r)) for r in rows),
-    ]
-    lines += [" ".join(map(str, c)) for c in cols]
-    lines += [" ".join(map(str, r)) for r in rows]
-    return "\n".join(lines) + "\n"
-
-
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
@@ -102,19 +80,6 @@ def _non_negative(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
 
 
-def _read_witness(path: Path, side: str) -> tuple[int, tuple[int, ...]]:
-    """(weight, support) of a witness file for side Z or X; ValueError if
-    malformed or the file holds the other side."""
-    payload = graphs.parse_json(path.read_text())
-    if not isinstance(payload, dict) or payload.get("side") != side:
-        raise ValueError(f"witness needs side {side}")
-    weight, support = payload.get("weight"), payload.get("support")
-    if type(weight) is not int or not isinstance(support, list) or not all(
-            type(j) is int for j in support):
-        raise ValueError("witness needs an integer weight and support")
-    return weight, tuple(support)
-
-
 # -- commands -------------------------------------------------------------------
 
 
@@ -135,9 +100,11 @@ def _write_builder_outputs(args: argparse.Namespace, argv: list[str],
         embedding.write_rotation(rotation, outputs[-1])
     outputs.append(out / "adjacency.txt")
     outputs[-1].write_text(adjacency.to_text())
+    alist = out / "adjacency.alist"
+    alist.unlink(missing_ok=True)   # an earlier run's
     if args.fmt == "alist":
-        outputs.append(out / "adjacency.alist")
-        outputs[-1].write_text(_matrix_to_alist(adjacency))
+        outputs.append(alist)
+        alist.write_text(adjacency.to_alist())
     timings["write"] = time.perf_counter() - t0
     _write_manifest(out, argv, [], outputs, timings)
     return out
@@ -183,12 +150,7 @@ def cmd_code(args: argparse.Namespace, argv: list[str]) -> int:
     timings["build"] = time.perf_counter() - t0
     out = Path(args.out)
     t0 = time.perf_counter()
-    outputs = css.write_bundle(code, out)
-    if args.fmt == "alist":
-        for name, mat in (("hx", code.hx), ("hz", code.hz)):
-            p = out / f"{name}.alist"
-            p.write_text(_matrix_to_alist(mat))
-            outputs.append(p)
+    outputs = css.write_bundle(code, out, alist=args.fmt == "alist")
     timings["write"] = time.perf_counter() - t0
     _write_manifest(out, argv, [graph_path, rot_path], outputs, timings)
     print(f"code [[{code.n},{code.k},?]] genus {code.genus} -> {out}")
@@ -197,8 +159,6 @@ def cmd_code(args: argparse.Namespace, argv: list[str]) -> int:
 
 def cmd_distance(args: argparse.Namespace, argv: list[str]) -> int:
     bundle = Path(args.bundle)
-    if not (bundle / "code.json").exists():
-        return _usage_error(f"{bundle} is not a code bundle (code.json missing)")
     code = css.read_bundle(bundle)
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -206,15 +166,7 @@ def cmd_distance(args: argparse.Namespace, argv: list[str]) -> int:
                                  enumeration_budget=args.budget)
     timings["search"] = time.perf_counter() - t0
     css.apply_distance_report(code, report)
-    outputs = [css.write_code_json(code, bundle)]
-    for side, witness in (("dz", report.dz_witness), ("dx", report.dx_witness)):
-        if witness is not None:
-            p = bundle / f"{side}_witness.json"
-            p.write_text(json.dumps(
-                {"side": side[1].upper(), "weight": len(witness),
-                 "support": list(witness)},
-                indent=2, sort_keys=True) + "\n")
-            outputs.append(p)
+    outputs = css.write_distance(code, report, bundle)
     counters = {"dz": dataclasses.asdict(report.dz_counters),
                 "dx": dataclasses.asdict(report.dx_counters)}
     _write_manifest(bundle, argv, [], outputs, timings, counters)
@@ -265,10 +217,10 @@ def cmd_embed_search(args: argparse.Namespace, argv: list[str]) -> int:
 
 def cmd_verify(args: argparse.Namespace, argv: list[str]) -> int:
     bundle = Path(args.bundle)
-    if not (bundle / "code.json").exists():
-        return _usage_error(f"{bundle} is not a code bundle (code.json missing)")
     try:
         code = css.read_bundle(bundle)
+    except css.NotABundle as exc:
+        return _usage_error(str(exc))
     except (OSError, ValueError) as exc:
         print(f"bundle unreadable: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
@@ -280,7 +232,7 @@ def cmd_verify(args: argparse.Namespace, argv: list[str]) -> int:
             failures.append(name)
 
     try:
-        beta1, why = embedding.homology_ranks(code.hx, code.hz), ""
+        beta1, why = css.homology_ranks(code.hx, code.hz), ""
     except ValueError as exc:
         beta1, why = None, str(exc)
     check("css condition hx hz^T = 0", not why, why)
@@ -291,24 +243,8 @@ def cmd_verify(args: argparse.Namespace, argv: list[str]) -> int:
     check("family label matches (n, k, genus)", not why, why)
     if code.d_found is not None:
         check("d_lower <= d_found", code.d_lower <= code.d_found)
-    weights = []
-    for side in ("Z", "X"):
-        wpath = bundle / f"d{side.lower()}_witness.json"
-        if wpath.exists():
-            try:
-                weight, support = _read_witness(wpath, side)
-                weights.append(len(support))
-                ok = (len(support) == weight
-                      and css.verify_witness(code, side, support))
-            except (OSError, ValueError):
-                ok = False
-            check(f"d{side.lower()} witness re-verifies", ok)
-    # a witness is a logical of its weight, so it bounds d from above
-    if code.d_found is not None:
-        check("d_found = lightest witness weight",
-              code.d_found == min(weights, default=None))
-    if weights:
-        check("d_lower <= every witness weight", code.d_lower <= min(weights))
+    for name, ok in css.check_files(bundle, code):
+        check(name, ok)
     if failures:
         print(f"verification failed: {', '.join(failures)}", file=sys.stderr)
         return EXIT_VERIFICATION
@@ -327,14 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "Paley graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    fmt = dict(dest="fmt", default="text", choices=["text", "alist"],
+               help="alist additionally exports the matrices in MacKay's alist format")
 
     p = sub.add_parser("lift", help="build the lift of the two-vertex voltage graph "
                                     "and its derived embedding")
     p.add_argument("t", type=int, help="group parameter; the lift has 2^(t+1) vertices")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--format", dest="fmt", default="text",
-                   choices=["text", "alist"],
-                   help="alist additionally exports MacKay alist matrices")
+    p.add_argument("--format", **fmt)
 
     p = sub.add_parser("paley", help="build a Paley graph over GF(p^r)")
     p.add_argument("p", type=int, help="prime")
@@ -343,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="monic modulus, coefficients constant-first, e.g. 2,1,1 "
                         "for x^2+x+2")
     p.add_argument("--out", required=True)
-    p.add_argument("--format", dest="fmt", default="text",
-                   choices=["text", "alist"])
+    p.add_argument("--format", **fmt)
 
     p = sub.add_parser("code", help="assemble a CSS code bundle from a graph")
     p.add_argument("graph", help="graph JSON file")
@@ -354,12 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["voltage", "paley", "custom"])
     p.add_argument("--kprime", type=int)
     p.add_argument("--out", required=True)
-    p.add_argument("--format", dest="fmt", default="text",
-                   choices=["text", "alist"])
+    p.add_argument("--format", **fmt)
 
     p = sub.add_parser("distance",
                        help="exact minimum distance of a surface-code bundle up to "
-                            "--max-weight; rewrites code.json and the witnesses")
+                            "--max-weight; records it and the witnesses in the bundle")
     p.add_argument("bundle", help="code bundle directory")
     p.add_argument("--max-weight", type=int, required=True, dest="max_weight")
     p.add_argument("--budget", type=_non_negative, default=css.DEFAULT_ENUMERATION_BUDGET,

@@ -4,11 +4,13 @@ H_X is the vertex-edge incidence matrix and H_Z the face-edge incidence
 matrix of a rotation system, which carries its graph.  A rotation system
 of a connected graph with an edge is a cellular embedding, so H_X H_Z^T = 0
 and k = 2 * genus are theorems: `code` writes them, and `verify` computes
-the product and both ranks from the bundle files.
+the product and both ranks from the bundle files.  This module writes,
+reads and checks every file of a code bundle.
 """
 from __future__ import annotations
 
 import json
+import os
 import sys
 from array import array
 from dataclasses import dataclass, field
@@ -16,7 +18,7 @@ from itertools import compress
 from pathlib import Path
 from typing import Optional
 
-from .gf2 import BinaryMatrix, bit_flags
+from .gf2 import BinaryMatrix, bit_flags, multiply, rank
 from .graphs import incidence_matrix, parse_json
 from .embedding import RotationSystem, face_edge_matrix, trace_faces
 
@@ -347,19 +349,14 @@ def distance_search(
 
 
 def verify_witness(code: CssCode, side: str, support: tuple[int, ...]) -> bool:
-    """Re-check a logical witness: kernel membership, row-space
-    non-membership, and weight equal to the support size."""
-    if len(set(support)) != len(support):
+    """Re-check a logical witness: distinct columns of the code, kernel
+    membership and row-space non-membership."""
+    if len(set(support)) != len(support) or not all(0 <= j < code.n for j in support):
         return False
-    if any(not 0 <= j < code.n for j in support):
-        return False
-    v = 0
-    for j in support:
-        v |= 1 << j
+    v = sum(1 << j for j in support)
     kernel_of, modulo = (code.hx, code.hz) if side == "Z" else (code.hz, code.hx)
-    for row in kernel_of.row_bits:
-        if (row & v).bit_count() % 2:
-            return False
+    if any((row & v).bit_count() % 2 for row in kernel_of.row_bits):
+        return False
     return not modulo.row_space.contains(v)
 
 
@@ -432,64 +429,135 @@ def family_mismatch(code: CssCode) -> str:
             f"{code.n}, {code.k}, {code.genus}")
 
 
-# -- bundle persistence ----------------------------------------------------------
+# -- code bundles ----------------------------------------------------------------
 
-def write_bundle(code: CssCode, directory: str | Path) -> list[Path]:
+_CODE_JSON = "code.json"
+_MATRIX_FILES = (("hx.txt", "hx.alist"), ("hz.txt", "hz.alist"))   # text, alist export
+_WITNESS_FILES = {"Z": "dz_witness.json", "X": "dx_witness.json"}
+_RECORD = ("n", "k", "d_found", "d_lower", "family", "kprime", "genus")   # code.json
+_NULLABLE = ("d_found", "kprime", "genus")
+
+
+class NotABundle(ValueError):
+    """A directory without code.json."""
+
+
+def write_bundle(code: CssCode, directory: str | Path, alist: bool = False) -> list[Path]:
+    """Write a new code's matrices, their alist exports if alist, and
+    code.json, after removing an earlier code's exports and witnesses;
+    returns the paths written."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    stale = {export for _, export in _MATRIX_FILES} | set(_WITNESS_FILES.values())
+    for name in stale.intersection(os.listdir(directory)):
+        (directory / name).unlink()
     paths = []
-    hx_path = directory / "hx.txt"
-    hx_path.write_text(code.hx.to_text())
-    paths.append(hx_path)
-    hz_path = directory / "hz.txt"
-    hz_path.write_text(code.hz.to_text())
-    paths.append(hz_path)
-    paths.append(write_code_json(code, directory))
+    for matrix, (text, export) in zip((code.hx, code.hz), _MATRIX_FILES):
+        paths.append(directory / text)
+        paths[-1].write_text(matrix.to_text())
+        if alist:
+            paths.append(directory / export)
+            paths[-1].write_text(matrix.to_alist())
+    return paths + [_write_record(code, directory)]
+
+
+def write_distance(code: CssCode, report: DistanceReport, directory: str | Path) -> list[Path]:
+    """Rewrite code.json and write the report's witnesses, leaving the
+    matrices alone; returns the paths written."""
+    paths = [_write_record(code, directory)]
+    for side, witness in (("Z", report.dz_witness), ("X", report.dx_witness)):
+        if witness is not None:
+            paths.append(Path(directory) / _WITNESS_FILES[side])
+            paths[-1].write_text(json.dumps(
+                {"side": side, "weight": len(witness), "support": list(witness)},
+                indent=2, sort_keys=True) + "\n")
     return paths
 
 
-def write_code_json(code: CssCode, directory: str | Path) -> Path:
-    """Write the bundle's code.json, leaving hx.txt and hz.txt alone."""
-    payload = {
-        "n": code.n,
-        "k": code.k,
-        "d_found": code.d_found,
-        "d_lower": code.d_lower,
-        "family": code.family,
-        "kprime": code.kprime,
-        "genus": code.genus,
-    }
-    json_path = Path(directory) / "code.json"
-    json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return json_path
+def _write_record(code: CssCode, directory: str | Path) -> Path:
+    path = Path(directory) / _CODE_JSON
+    path.write_text(json.dumps({key: getattr(code, key) for key in _RECORD},
+                               indent=2, sort_keys=True) + "\n")
+    return path
 
 
-def _json_int(payload: dict, key: str, optional: bool = False) -> Optional[int]:
+def _json_int(payload: dict, key: str, optional: bool = False,
+              listed: bool = False) -> Optional[int | list[int]]:
+    """payload[key], which must be an integer (a list of them if listed),
+    or null if optional; ValueError otherwise."""
     value = payload.get(key)
-    if type(value) is int or (optional and value is None):
+    if (type(value) is list and all(type(v) is int for v in value) if listed
+            else type(value) is int or (optional and value is None)):
         return value
-    raise ValueError(f"{key} must be an integer{' or null' if optional else ''}, "
-                     f"got {value!r}")
+    raise ValueError(f"{key} must be {'a list of integers' if listed else 'an integer'}"
+                     f"{' or null' if optional else ''}, got {value!r}")
 
 
 def read_bundle(directory: str | Path) -> CssCode:
-    """Load a bundle; malformed content, matrices among them whose column
-    count is not n, raises ValueError, a missing file OSError."""
+    """Load a bundle; a directory without code.json raises NotABundle,
+    malformed content, matrices among them whose column count is not n,
+    ValueError, and a missing file OSError."""
     directory = Path(directory)
-    hx = BinaryMatrix.from_text((directory / "hx.txt").read_text())
-    hz = BinaryMatrix.from_text((directory / "hz.txt").read_text())
-    payload = parse_json((directory / "code.json").read_text())
+    if not (record_path := directory / _CODE_JSON).exists():
+        raise NotABundle(f"{directory} is not a code bundle ({_CODE_JSON} missing)")
+    hx, hz = (BinaryMatrix.from_text((directory / text).read_text())
+              for text, _ in _MATRIX_FILES)
+    payload = parse_json(record_path.read_text())
     if not isinstance(payload, dict) or not isinstance(payload.get("family"), str):
-        raise ValueError("code.json must be an object with a string family")
-    n = _json_int(payload, "n")
-    if not hx.cols == hz.cols == n:
-        raise ValueError(f"hx.txt and hz.txt have {hx.cols} and {hz.cols} "
-                         f"columns; code.json has n = {n}")
-    return CssCode(
-        hx=hx, hz=hz, n=n, k=_json_int(payload, "k"),
-        d_lower=_json_int(payload, "d_lower"),
-        d_found=_json_int(payload, "d_found", optional=True),
-        family=payload["family"],
-        kprime=_json_int(payload, "kprime", optional=True),
-        genus=_json_int(payload, "genus", optional=True),
-    )
+        raise ValueError(f"{_CODE_JSON} must be an object with a string family")
+    record = {key: _json_int(payload, key, optional=key in _NULLABLE)
+              for key in _RECORD if key != "family"}
+    if not hx.cols == hz.cols == record["n"]:
+        raise ValueError(f"hx and hz have {hx.cols} and {hz.cols} columns; "
+                         f"{_CODE_JSON} has n = {record['n']}")
+    return CssCode(hx=hx, hz=hz, family=payload["family"], **record)
+
+
+def check_files(directory: str | Path, code: CssCode) -> list[tuple[str, bool]]:
+    """The checks of the bundle's optional files, (name, whether it holds)
+    each.  An alist export must be to_alist() of its matrix, and a witness
+    a logical of its side and of its stated weight.  A witness bounds d
+    from above, so d_found must be the lightest and d_lower at most each."""
+    directory = Path(directory)
+    present = set(os.listdir(directory))
+    checks, weights = [], []
+    for matrix, (text, export) in zip((code.hx, code.hz), _MATRIX_FILES):
+        if export in present:
+            try:
+                ok = (directory / export).read_bytes() == matrix.to_alist().encode()
+            except OSError:
+                ok = False
+            checks.append((f"{export} matches {text}", ok))
+    for side, name in _WITNESS_FILES.items():
+        if name in present:
+            try:
+                payload = parse_json((directory / name).read_text())
+                if not isinstance(payload, dict) or payload.get("side") != side:
+                    raise ValueError(f"witness needs side {side}")
+                weight = _json_int(payload, "weight")
+                support = tuple(_json_int(payload, "support", listed=True))
+                weights.append(len(support))
+                ok = len(support) == weight and verify_witness(code, side, support)
+            except (OSError, ValueError):
+                ok = False
+            checks.append((f"d{side.lower()} witness re-verifies", ok))
+    if code.d_found is not None:
+        checks.append(("d_found = lightest witness weight",
+                       code.d_found == min(weights, default=None)))
+    if weights:
+        checks.append(("d_lower <= every witness weight", code.d_lower <= min(weights)))
+    return checks
+
+
+def homology_ranks(hx: BinaryMatrix, hz: BinaryMatrix) -> int:
+    """The first mod-2 Betti number of the chain complex defined by (hx, hz),
+    beta1 = cols - rank(hx) - rank(hz): a surface code's k.  `verify` checks
+    a bundle's k with it; `code` writes k = 2 * genus without it.
+
+    Requires hx hz^T = 0; the first violating row pair is named otherwise.
+    """
+    for i, r in enumerate(multiply(hx, hz.transpose()).row_bits):
+        if r:
+            raise ValueError(f"hx hz^T != 0: row {i} of hx and row "
+                             f"{(r & -r).bit_length() - 1} of hz overlap oddly")
+    return hx.cols - rank(hx) - rank(hz)

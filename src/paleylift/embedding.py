@@ -1,5 +1,5 @@
 """Orientable cellular embeddings: rotation systems, face tracing, duals,
-homology ranks, and a bounded search for self-dual embeddings.
+and a bounded search for self-dual embeddings.
 
 Darts: edge e contributes dart 2e at its smaller endpoint and dart 2e+1 at
 its larger endpoint; reversal is xor with 1.  A face walk steps from a dart
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .gf2 import BinaryMatrix, multiply, rank
+from .gf2 import BinaryMatrix
 from .graphs import Graph, SearchBudgetExceeded, find_isomorphism, parse_json
 
 DEFAULT_SEARCH_BUDGET = 50_000_000
@@ -138,24 +138,6 @@ def dual_graph(rs: RotationSystem, faces: Optional[FaceSet] = None) -> DualGraph
         loops=tuple(loops),
         multiplicities=tuple(sorted(mult.items())),
     )
-
-
-def homology_ranks(hx: BinaryMatrix, hz: BinaryMatrix) -> int:
-    """The first mod-2 Betti number of the chain complex defined by (hx, hz),
-    beta1 = cols - rank(hx) - rank(hz): a surface code's k.  `verify` checks
-    a bundle's k with it; `code` writes k = 2 * genus without it.
-
-    Requires hx hz^T = 0; the first violating row pair is named otherwise.
-    Unequal column counts are refused by multiply.
-    """
-    prod = multiply(hx, hz.transpose())
-    for i in range(prod.rows):
-        if prod.row_bits[i]:
-            j = (prod.row_bits[i] & -prod.row_bits[i]).bit_length() - 1
-            raise ValueError(
-                f"hx hz^T != 0: row {i} of hx and row {j} of hz overlap oddly"
-            )
-    return hx.cols - rank(hx) - rank(hz)
 
 
 # -- self-dual embedding search ----------------------------------------------

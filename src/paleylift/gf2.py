@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Sequence
 
 # A header count as to_text writes it: no sign, no "_", no leading zero.
@@ -71,7 +72,7 @@ class BinaryMatrix:
         matrix, so each matrix is reduced at most once."""
         return RowSpace(self)
 
-    # -- text format -------------------------------------------------------
+    # -- text and alist formats --------------------------------------------
 
     def to_text(self) -> str:
         """Serialize: first line "rows cols", then one line per row of its
@@ -86,6 +87,20 @@ class BinaryMatrix:
             row[::2] = bin(r | top)[:2:-1].encode()
             lines.append(row.decode())
         return "\n".join(lines) + "\n"
+
+    def to_alist(self) -> str:
+        """MacKay alist export (unpadded): columns first, 1-based indices.
+        The columns' lists are filled from the rows' in O(nonzeros)."""
+        positions = range(1, self.cols + 1)
+        rows = [list(compress(positions, bit_flags(r, self.cols))) for r in self.row_bits]
+        cols: list[list[int]] = [[] for _ in positions]
+        for i, row in enumerate(rows, 1):
+            for j in row:
+                cols[j - 1].append(i)
+        lines = [f"{self.cols} {self.rows}",
+                 f"{max(map(len, cols), default=0)} {max(map(len, rows), default=0)}",
+                 " ".join(str(len(c)) for c in cols), " ".join(str(len(r)) for r in rows)]
+        return "\n".join(lines + [" ".join(map(str, c)) for c in cols + rows]) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "BinaryMatrix":

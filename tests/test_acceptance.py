@@ -170,7 +170,7 @@ def test_criterion_8_homology_cross_check(paley9, paley9_rotation):
         # C_4 on the sphere
         c4 = graphs.Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         faces = embedding.trace_faces(embedding_oracle.index_order_rotation(c4))
-        beta1 = embedding.homology_ranks(
+        beta1 = css.homology_ranks(
             graphs.incidence_matrix(c4),
             embedding.face_edge_matrix(faces),
         )
@@ -188,10 +188,10 @@ def test_criterion_8_homology_cross_check(paley9, paley9_rotation):
             [1, 0, 1, 0, 0, 0, 1, 1],
             [0, 1, 0, 1, 0, 0, 1, 1],
         ])
-        assert embedding.homology_ranks(hx, hz) == 2 * 1
+        assert css.homology_ranks(hx, hz) == 2 * 1
         # Paley-9 on the torus
         faces9 = embedding.trace_faces(paley9_rotation)
-        beta1 = embedding.homology_ranks(
+        beta1 = css.homology_ranks(
             graphs.incidence_matrix(paley9.graph),
             embedding.face_edge_matrix(faces9),
         )

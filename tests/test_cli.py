@@ -8,12 +8,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
-
 import gf2_oracle
-from test_gf2 import matrices
 from paleylift import css, gf2, graphs
-from paleylift.cli import _matrix_to_alist, main
+from paleylift.cli import main
 
 DATA = Path(__file__).parent / "data"
 
@@ -513,12 +510,54 @@ def test_code_alist_export_matches_oracle(lift3_workdir, tmp_path):
         assert str(out / f"{name}.alist") in manifest["outputs"]
 
 
-@settings(max_examples=300, deadline=None)
-@given(m=matrices())
-@example(m=gf2_oracle.zeros(3, 0))
-@example(m=gf2_oracle.zeros(0, 5))
-def test_alist_matches_per_entry_oracle(m):
-    assert _matrix_to_alist(m) == gf2_oracle.to_alist(m)
+def test_code_removes_the_witnesses_and_exports_of_an_earlier_code(tmp_path, capsys):
+    """code on the t = 4 lift, into the bundle of the t = 3 code with its
+    alist exports and witnesses, leaves a bundle of the t = 4 code alone."""
+    for t in (3, 4):
+        assert run("lift", t, "--out", tmp_path / f"lift{t}") == 0
+    bundle = tmp_path / "bundle"
+    assert run("code", tmp_path / "lift3" / "graph.json", "--rotation",
+               tmp_path / "lift3" / "rotation.json", "--format", "alist",
+               "--out", bundle) == 0
+    assert run("distance", bundle, "--max-weight", 3) == 0
+    assert run("code", tmp_path / "lift4" / "graph.json", "--rotation",
+               tmp_path / "lift4" / "rotation.json", "--family", "voltage",
+               "--kprime", 3, "--out", bundle) == 0
+    assert sorted(p.name for p in bundle.iterdir()) == [
+        "code.json", "hx.txt", "hz.txt", "manifest.json"]
+    capsys.readouterr()
+    assert run("verify", bundle) == 0
+    assert "witness" not in capsys.readouterr().out
+
+
+def test_builder_removes_an_earlier_alist_export(tmp_path):
+    out = tmp_path / "out"
+    assert run("lift", 3, "--format", "alist", "--out", out) == 0
+    assert run(*PALEY9, "--out", out) == 0
+    assert not (out / "adjacency.alist").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["outputs"]) == sorted(
+        str(out / name) for name in _without_alist(GOLDEN["paley9"]))
+
+
+def test_verify_checks_each_alist_export(lift3_workdir, tmp_path, capsys):
+    """One PASS or FAIL line per alist export that the bundle holds, and
+    none for a bundle without exports."""
+    bundle = tmp_path / "bundle"
+    assert run("code", lift3_workdir / "graph.json", "--rotation",
+               lift3_workdir / "rotation.json", "--format", "alist", "--out", bundle) == 0
+    capsys.readouterr()
+    assert run("verify", bundle) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln for ln in lines if "alist" in ln] == [
+        "  PASS  hx.alist matches hx.txt", "  PASS  hz.alist matches hz.txt"]
+    (bundle / "hx.alist").write_text("garbage\n")
+    (bundle / "hz.alist").unlink()
+    assert run("verify", bundle) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln for ln in lines if "alist" in ln] == ["  FAIL  hx.alist matches hx.txt"]
+    assert run("verify", lift3_workdir / "bundle") == 0
+    assert "alist" not in capsys.readouterr().out
 
 
 def test_usage_error_exit_code_from_argparse():

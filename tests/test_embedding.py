@@ -1,16 +1,17 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gf2_oracle
 from embedding_oracle import dual_edge_count, first_self_dual_embedding, index_order_rotation
-from paleylift import fields, gf2, graphs, paley
+from paleylift import css, fields, gf2, graphs, paley
+from paleylift.css import homology_ranks
 from paleylift.embedding import (
     RotationSystem,
     dual_graph,
     face_edge_matrix,
-    homology_ranks,
     incident_darts,
     read_rotation,
     rotation_from_json,
@@ -289,15 +290,28 @@ def test_every_rotation_system_is_cellular(graph, data):
     """A rotation system of a connected graph with an edge embeds it
     cellularly in a closed orientable surface, so V - E + F = 2 - 2g with an
     integer g >= 0, and its surface code has H_X H_Z^T = 0 and k = 2g;
-    trace_faces and `code` rely on this and do not check it."""
-    rotations = tuple(tuple(data.draw(st.permutations(darts)))
-                      for darts in incident_darts(graph))
-    faces = trace_faces(RotationSystem(graph, rotations))
+    trace_faces and `code` rely on this and do not check it.  The distance
+    engine reads the dual graph off the columns of H_Z: its loops and
+    parallel edges are dual_graph's."""
+    rotation = RotationSystem(graph, tuple(tuple(data.draw(st.permutations(darts)))
+                                           for darts in incident_darts(graph)))
+    faces = trace_faces(rotation)
     assert sorted(d for walk in faces.faces for d in walk) == list(range(2 * graph.edge_count))
     chi = graph.vertex_count - graph.edge_count + len(faces.faces)
     assert chi == 2 - 2 * faces.genus and faces.genus >= 0
-    assert homology_ranks(graphs.incidence_matrix(graph),
-                          face_edge_matrix(faces)) == 2 * faces.genus
+    hz = face_edge_matrix(faces)
+    assert homology_ranks(graphs.incidence_matrix(graph), hz) == 2 * faces.genus
+    dual = dual_graph(rotation, faces)
+    loops, ends = css._columns(hz, "H_Z", ends=True)
+    assert loops == [e for _, e in dual.loops]
+    # each column's (lowest, highest) row: the faces on the two sides of its edge
+    width = (hz.rows - 1).bit_length()
+    pairs = [(end & (1 << width) - 1, end >> width) if end else None for end in ends]
+    assert [j for j, pair in enumerate(pairs) if pair is None] == loops
+    assert Counter(filter(None, pairs)) == dict(dual.multiplicities)
+    # each repeat of a face pair, with the lowest column that has it
+    assert css._parallel(ends) == [(pairs.index(pair), j) for j, pair in enumerate(pairs)
+                                   if pair and pairs.index(pair) != j]
 
 
 def test_search_deterministic(paley9, paley9_rotation):

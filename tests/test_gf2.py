@@ -152,6 +152,14 @@ def test_text_and_transpose_match_per_bit_oracles(m):
     assert m.transpose().transpose() == m
 
 
+@settings(max_examples=300, deadline=None)
+@given(m=matrices())
+@example(m=gf2_oracle.zeros(3, 0))
+@example(m=gf2_oracle.zeros(0, 5))
+def test_alist_matches_per_entry_oracle(m):
+    assert m.to_alist() == gf2_oracle.to_alist(m)
+
+
 @pytest.mark.parametrize("row", [
     "01 0 1", "00 0 1", "+1 0 1", "2 0 1", "-1 0 1", "1_0 0 1",
     "10 1",         # three characters, but two tokens
