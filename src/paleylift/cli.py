@@ -89,19 +89,21 @@ def _write_builder_outputs(args: argparse.Namespace, argv: list[str],
                            rotation: embedding.RotationSystem | None = None) -> Path:
     """Write a builder's artifacts into --out: graph.json, rotation.json
     when given, adjacency.txt, adjacency.alist under --format alist, and
-    then the manifest."""
+    then the manifest.  An earlier run's rotation.json or adjacency.alist
+    that this run does not write is removed."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     outputs = [out / "graph.json"]
     graphs.write_graph(graph, outputs[-1])
+    rotation_path, alist = out / "rotation.json", out / "adjacency.alist"
+    for path in (rotation_path, alist):
+        path.unlink(missing_ok=True)   # an earlier run's
     if rotation is not None:
-        outputs.append(out / "rotation.json")
-        embedding.write_rotation(rotation, outputs[-1])
+        outputs.append(rotation_path)
+        embedding.write_rotation(rotation, rotation_path)
     outputs.append(out / "adjacency.txt")
     outputs[-1].write_text(adjacency.to_text())
-    alist = out / "adjacency.alist"
-    alist.unlink(missing_ok=True)   # an earlier run's
     if args.fmt == "alist":
         outputs.append(alist)
         alist.write_text(adjacency.to_alist())
@@ -241,8 +243,6 @@ def cmd_verify(args: argparse.Namespace, argv: list[str]) -> int:
         check("k = 2 * genus", code.k == 2 * code.genus)
     why = css.family_mismatch(code)
     check("family label matches (n, k, genus)", not why, why)
-    if code.d_found is not None:
-        check("d_lower <= d_found", code.d_lower <= code.d_found)
     for name, ok in css.check_files(bundle, code):
         check(name, ok)
     if failures:

@@ -45,7 +45,8 @@ class RotationSystem:
 
     def __post_init__(self) -> None:
         if len(self.rotations) != self.graph.vertex_count:
-            raise ValueError("one rotation per vertex required")
+            raise ValueError(f"{len(self.rotations)} rotations for {self.graph.vertex_count}"
+                             " vertices; one rotation per vertex required")
         expected = incident_darts(self.graph)
         for v, rot in enumerate(self.rotations):
             if sorted(rot) != expected[v]:
@@ -116,10 +117,9 @@ class DualGraphResult:
         return not self.loops and all(c == 1 for _, c in self.multiplicities)
 
 
-def dual_graph(rs: RotationSystem, faces: Optional[FaceSet] = None) -> DualGraphResult:
+def dual_graph(rs: RotationSystem) -> DualGraphResult:
     """One dual vertex per face; one dual adjacency per primal edge."""
-    if faces is None:
-        faces = trace_faces(rs)
+    faces = trace_faces(rs)
     face_of = {}
     for fi, walk in enumerate(faces.faces):
         for d in walk:

@@ -93,9 +93,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.neighbours) // 2
 
-    def degree(self, v: int) -> int:
-        return self.neighbours[v].bit_count()
-
     def is_connected(self) -> bool:
         if self.vertex_count == 0:
             return True

@@ -25,8 +25,6 @@ def build_paley(field: PrimePowerField) -> PaleyGraph:
             f"Paley construction requires p^r = 1 (mod 8); got {m} = {m % 8} (mod 8)"
         )
     squares = quadratic_residues(field)
-    if {field.neg_index(s) for s in squares} != squares:
-        raise AssertionError("the squares are not closed under negation; arithmetic bug")
     # The index of x is a*p^k + y with a nonzero and y < p^k, so the mask of
     # x is the mask of x - p^k with 1 added to digit k: the indices whose
     # digit k is below p - 1 (the mask `up`) move up by p^k, and the others
@@ -39,13 +37,10 @@ def build_paley(field: PrimePowerField) -> PaleyGraph:
         for x in range(place, place * p):
             prev = masks[x - place]
             masks.append((prev & up) << place | (prev & ~up) >> (p - 1) * place)
-    # S = -S makes the masks symmetric, 0 not in S leaves no loop bit, and
+    # -1 is a square as m = 1 (mod 4), so S = -S: the masks, translates of S,
+    # are symmetric with (m-1)/2 bits each; 0 not in S leaves no loop bit, and
     # the digit shifts keep every bit below m: of_masks's precondition
-    graph = Graph.of_masks(tuple(masks))
-    expected_degree = (m - 1) // 2
-    if any(graph.degree(v) != expected_degree for v in range(m)):
-        raise AssertionError("Paley graph is not (m-1)/2-regular; arithmetic bug")
-    return PaleyGraph(field=field, graph=graph, connection_set=squares)
+    return PaleyGraph(field, Graph.of_masks(tuple(masks)), squares)
 
 
 def smallest_nonresidue(field: PrimePowerField) -> int:

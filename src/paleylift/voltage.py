@@ -17,8 +17,6 @@ def class_members(t: int, leading_bit: int, tail_even: bool) -> list[int]:
     """The vectors of Z_2^t, ascending, with the given leading bit and whose
     other t-1 bits have even weight iff tail_even; t >= 2 gives four classes
     of size 2^(t-2)."""
-    if t < 2:
-        raise ValueError(f"need t >= 2 to form four classes, got {t}")
     tail_mask = (1 << (t - 1)) - 1
     return [a for a in range(1 << t)
             if a >> (t - 1) == leading_bit
@@ -28,23 +26,14 @@ def class_members(t: int, leading_bit: int, tail_even: bool) -> list[int]:
 @dataclass(frozen=True)
 class VoltageGraph:
     """Two vertices u, v; links u-v plus half edges at each vertex, all
-    labeled by elements of Z_2^t."""
+    labeled by elements of Z_2^t.  Unchecked: lift needs the voltages of
+    each kind distinct and below 2^t, and none 0 on a half edge, as
+    build_voltage_graph makes them."""
 
     t: int
     links: tuple[int, ...]
     half_edges_u: tuple[int, ...]
     half_edges_v: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for a in self.half_edges_u + self.half_edges_v:
-            if a == 0:
-                raise ValueError("zero voltage on a half edge would lift to self-loops")
-        for a in self.links + self.half_edges_u + self.half_edges_v:
-            if not 0 <= a < (1 << self.t):
-                raise ValueError(f"voltage {a} outside Z_2^{self.t}")
-        for voltages in (self.links, self.half_edges_u, self.half_edges_v):
-            if len(set(voltages)) != len(voltages):
-                raise ValueError(f"repeated voltage in {voltages}: parallel edges")
 
 
 def build_voltage_graph(t: int) -> VoltageGraph:
@@ -119,11 +108,11 @@ def block_adjacency(t: int) -> BinaryMatrix:
         B = (I+X)/2 (x) [(I+X)^(x(t-1)) + (I-X)^(x(t-1))] - I^(xt)
         C = [(I+X)^(xt) - (I-X)^(xt)] / 2
         D = (I+X)/2 (x) [(I+X)^(x(t-1)) - (I-X)^(x(t-1))]
-    evaluated exactly over the integers (the halvings are exact).
+    evaluated exactly over the integers: (I+X)^(xk) is the all-ones matrix
+    and (I-X)^(xk) has entries +-1, so the halvings are exact and every
+    entry is 0 or 1.  For t >= 3 within the vertex limit, which
+    build_voltage_graph checks first.
     """
-    if t < 3:
-        raise ValueError(f"the construction requires t >= 3, got {t}")
-    require_vertex_count(2, t + 1)
     import numpy as np   # only here: importing it is most of the CLI's start-up
 
     ident = np.eye(2, dtype=np.int64)
@@ -137,23 +126,12 @@ def block_adjacency(t: int) -> BinaryMatrix:
             out = np.kron(out, m)
         return out
 
-    def exact_half(m: np.ndarray) -> np.ndarray:
-        if np.any(m % 2):
-            raise ArithmeticError("tensor expression is not divisible by 2; "
-                                  "formula transcription bug")
-        return m // 2
-
-    b = exact_half(np.kron(plus, kron_power(plus, t - 1) + kron_power(minus, t - 1)))
+    b = np.kron(plus, kron_power(plus, t - 1) + kron_power(minus, t - 1)) // 2
     b = b - kron_power(ident, t)
-    c = exact_half(kron_power(plus, t) - kron_power(minus, t))
-    d = exact_half(np.kron(plus, kron_power(plus, t - 1) - kron_power(minus, t - 1)))
+    c = (kron_power(plus, t) - kron_power(minus, t)) // 2
+    d = np.kron(plus, kron_power(plus, t - 1) - kron_power(minus, t - 1)) // 2
 
-    top = np.concatenate([b, c], axis=1)
-    bottom = np.concatenate([c, d], axis=1)
-    full = np.concatenate([top, bottom], axis=0)
-    if not np.all((full == 0) | (full == 1)):
-        raise ArithmeticError("block adjacency has entries outside {0,1}; "
-                              "formula transcription bug")
+    full = np.block([[b, c], [c, d]])
     packed = np.packbits(full.astype(np.uint8), axis=1, bitorder="little")
     return BinaryMatrix(len(full), len(full), tuple(
         int.from_bytes(row.tobytes(), "little") for row in packed))

@@ -45,7 +45,7 @@ def first_self_dual_embedding(graph: Graph, target_genus: int) -> Optional[Rotat
         faces = trace_faces(rotation)
         if faces.genus != target_genus:
             continue
-        dual = dual_graph(rotation, faces)
+        dual = dual_graph(rotation)
         if dual.is_simple and find_isomorphism(dual.graph, graph) is not None:
             return rotation
     return None

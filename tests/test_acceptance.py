@@ -66,7 +66,7 @@ def test_criterion_3_18_2_3_end_to_end(paley9, tmp_path):
 
         faces = embedding.trace_faces(rotation)
         assert faces.genus == 1
-        dual = embedding.dual_graph(rotation, faces)
+        dual = embedding.dual_graph(rotation)
         assert dual.is_simple
         assert graphs.find_isomorphism(dual.graph, paley9.graph) is not None
 

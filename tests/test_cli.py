@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 import gf2_oracle
-from paleylift import css, gf2, graphs
+from paleylift import css, fields, gf2, graphs, paley
 from paleylift.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -540,6 +540,22 @@ def test_builder_removes_an_earlier_alist_export(tmp_path):
         str(out / name) for name in _without_alist(GOLDEN["paley9"]))
 
 
+def test_builder_removes_an_earlier_rotation(tmp_path, capsys):
+    """paley into a lift's directory leaves no rotation of the lift beside
+    the Paley graph, so code names the missing file instead of reading it."""
+    out = tmp_path / "out"
+    assert run("lift", 3, "--out", out) == 0
+    assert run("paley", 3, 2, "--out", out) == 0
+    assert not (out / "rotation.json").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["outputs"]) == [str(out / "adjacency.txt"),
+                                           str(out / "graph.json")]
+    capsys.readouterr()
+    assert run("code", out / "graph.json", "--rotation", out / "rotation.json",
+               "--out", tmp_path / "bundle") == 2
+    assert str(out / "rotation.json") in capsys.readouterr().err
+
+
 def test_verify_checks_each_alist_export(lift3_workdir, tmp_path, capsys):
     """One PASS or FAIL line per alist export that the bundle holds, and
     none for a bundle without exports."""
@@ -670,6 +686,7 @@ def test_malformed_input_exits_without_traceback(lift3_workdir, tmp_path,
 
 
 NESTED = "[" * 100_000 + "]" * 100_000
+PALEY9_GRAPH = graphs.graph_to_json(paley.build_paley(fields.make_field(3, 2)).graph)
 
 
 @pytest.mark.parametrize("target, content, command, expected, message", [
@@ -685,6 +702,9 @@ NESTED = "[" * 100_000 + "]" * 100_000
     pytest.param("bundle/dz_witness.json", NESTED, "verify", 1,
                  "FAIL  dz witness re-verifies", id="verify-nested-witness"),
     ("rotation.json", '{"rotations":[[[0,2]]]}', "code", 2, "error: "),
+    # the t = 3 lift's rotation read against another graph
+    pytest.param("graph.json", PALEY9_GRAPH, "code", 2, "error: 16 rotations for 9 vertices",
+                 id="code-paley9-graph-lift3-rotation"),
 ])
 def test_refused_json_names_the_error_without_traceback(lift3_workdir, tmp_path, target,
                                                         content, command, expected, message):
@@ -730,6 +750,92 @@ def test_verify_requires_each_witness_on_its_own_side(lift3_workdir, tmp_path, c
         capsys.readouterr()
         assert run("verify", work / "bundle") == 1, target
         assert f"  FAIL  {target} witness re-verifies" in capsys.readouterr().out
+
+
+def _tampered(lift3_workdir, tmp_path, record=None, **witnesses):
+    """A copy of lift3_workdir's [[60,30,3]] bundle, whose code.json takes
+    the items of record and whose witness file of each side given as
+    dz=/dx= is replaced by the (weight, support) pair given."""
+    bundle = tmp_path / "bundle"
+    shutil.copytree(lift3_workdir / "bundle", bundle)
+    path = bundle / "code.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **(record or {})}))
+    for name, (weight, support) in witnesses.items():
+        (bundle / f"{name}_witness.json").write_text(json.dumps(
+            {"side": name[1].upper(), "weight": weight, "support": sorted(support)}))
+    return bundle
+
+
+def _verify(capsys, bundle):
+    """verify's exit status and stdout lines."""
+    capsys.readouterr()
+    status = run("verify", bundle)
+    return status, capsys.readouterr().out.splitlines()
+
+
+def _support(bits):
+    return [j for j in range(bits.bit_length()) if bits >> j & 1]
+
+
+def _witness(lift3_workdir, side):
+    return json.loads((lift3_workdir / "bundle" / f"d{side}_witness.json").read_text())
+
+
+def test_verify_fails_a_z_witness_that_is_a_face_boundary(lift3_workdir, tmp_path,
+                                                          capsys):
+    """A face boundary lies in ker H_X, but it is a stabilizer, not a logical."""
+    face = _support(css.read_bundle(lift3_workdir / "bundle").hz.row_bits[0])
+    bundle = _tampered(lift3_workdir, tmp_path, dz=(len(face), face))
+    status, lines = _verify(capsys, bundle)
+    assert status == 1
+    assert "  FAIL  dz witness re-verifies" in lines
+    assert "  PASS  d_found = lightest witness weight" in lines
+
+
+def test_verify_bounds_d_lower_by_the_lightest_witness(lift3_workdir, tmp_path, capsys):
+    """An X witness plus a disjoint vertex star is an X logical of weight
+    3 + deg; with the weight-3 Z witness beside it, d_lower = 4 is false."""
+    x = sum(1 << j for j in _witness(lift3_workdir, "x")["support"])
+    star = next(row for row in css.read_bundle(lift3_workdir / "bundle").hx.row_bits
+                if not row & x)
+    heavy = _support(x ^ star)
+    bundle = _tampered(lift3_workdir, tmp_path, {"d_lower": 4}, dx=(len(heavy), heavy))
+    status, lines = _verify(capsys, bundle)
+    assert status == 1
+    assert "  PASS  dx witness re-verifies" in lines
+    assert "  PASS  d_found = lightest witness weight" in lines
+    assert "  FAIL  d_lower <= every witness weight" in lines
+
+
+def test_verify_fails_a_d_found_above_a_witness_weight(lift3_workdir, tmp_path, capsys):
+    status, lines = _verify(capsys, _tampered(lift3_workdir, tmp_path, {"d_found": 4}))
+    assert status == 1
+    assert "  FAIL  d_found = lightest witness weight" in lines
+    assert "  PASS  d_lower <= every witness weight" in lines
+
+
+def test_verify_fails_a_witness_whose_weight_disagrees_with_its_support(
+        lift3_workdir, tmp_path, capsys):
+    support = _witness(lift3_workdir, "z")["support"]
+    bundle = _tampered(lift3_workdir, tmp_path, dz=(len(support) + 1, support))
+    status, lines = _verify(capsys, bundle)
+    assert status == 1
+    assert "  FAIL  dz witness re-verifies" in lines
+
+
+def test_verify_fails_a_custom_bundle_with_a_wrong_n(lift3_workdir, tmp_path, capsys):
+    """No family label checks n for a custom code; the matrices' columns do."""
+    bundle = _tampered(lift3_workdir, tmp_path, {"family": "custom", "n": 61})
+    assert run("verify", bundle) == 1
+    assert "code.json has n = 61" in capsys.readouterr().err
+
+
+def test_verify_fails_a_custom_bundle_with_a_wrong_genus(lift3_workdir, tmp_path, capsys):
+    bundle = _tampered(lift3_workdir, tmp_path, {"family": "custom", "genus": 14})
+    status, lines = _verify(capsys, bundle)
+    assert status == 1
+    assert "  FAIL  k = 2 * genus" in lines
+    assert "  PASS  family label matches (n, k, genus)" in lines
 
 
 def test_code_refuses_a_family_label_the_code_does_not_have(lift3_workdir, tmp_path,

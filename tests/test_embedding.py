@@ -224,7 +224,7 @@ def test_search_k4_finds_tetrahedron():
     assert rs is not None
     faces = trace_faces(rs)
     assert faces.genus == 0
-    dual = dual_graph(rs, faces)
+    dual = dual_graph(rs)
     assert dual.is_simple
     assert graphs.find_isomorphism(dual.graph, complete_graph(4)) is not None
 
@@ -239,7 +239,7 @@ def test_search_paley9(paley9, paley9_rotation):
     assert faces.genus == 1
     assert len(faces.faces) == 9
     assert sorted(len(w) for w in faces.faces) == [4] * 9
-    dual = dual_graph(paley9_rotation, faces)
+    dual = dual_graph(paley9_rotation)
     assert graphs.find_isomorphism(dual.graph, paley9.graph) is not None
 
 
@@ -301,7 +301,7 @@ def test_every_rotation_system_is_cellular(graph, data):
     assert chi == 2 - 2 * faces.genus and faces.genus >= 0
     hz = face_edge_matrix(faces)
     assert homology_ranks(graphs.incidence_matrix(graph), hz) == 2 * faces.genus
-    dual = dual_graph(rotation, faces)
+    dual = dual_graph(rotation)
     loops, ends = css._columns(hz, "H_Z", ends=True)
     assert loops == [e for _, e in dual.loops]
     # each column's (lowest, highest) row: the faces on the two sides of its edge

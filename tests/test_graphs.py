@@ -116,7 +116,7 @@ def test_graph_matches_set_oracle(case, data):
     assert [[want[d >> 1][1 - (d & 1)] for d in ds] for ds in darts] == [
         sorted(a) for a in adj]
     assert all(ds == sorted(ds) for ds in darts)
-    assert [g.degree(v) for v in range(n)] == [len(a) for a in adj]
+    assert [g.neighbours[v].bit_count() for v in range(n)] == [len(a) for a in adj]
     assert g.is_connected() == graph_oracle.is_connected(n, want)
     comp = complement(g)
     assert comp.edges == graph_oracle.complement(n, want)
@@ -147,6 +147,15 @@ def test_verify_isomorphism_rejects_non_int_mappings():
     assert verify_isomorphism(k2, k2, (1, 0))
     assert not verify_isomorphism(k2, k2, (1.0, 0.0))
     assert not verify_isomorphism(k2, k2, (True, False))
+
+
+def test_verify_isomorphism_rejects_a_repeated_vertex():
+    """A mapping of the right length that sends two vertices to one is no
+    isomorphism, even where every row pulls back to its source row: both
+    isolated vertices onto vertex 2 keeps the edge 01 and adds none."""
+    g = Graph(4, [(0, 1)])
+    assert verify_isomorphism(g, g, (0, 1, 3, 2))
+    assert not verify_isomorphism(g, g, (0, 1, 2, 2))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])

@@ -43,7 +43,7 @@ def test_paley17():
     p = build_paley(fields.make_field(17, 1))
     assert p.graph.vertex_count == 17
     assert p.graph.edge_count == 68
-    assert all(p.graph.degree(v) == 8 for v in range(17))
+    assert all(p.graph.neighbours[v].bit_count() == 8 for v in range(17))
     assert p.connection_set == {1, 2, 4, 8, 9, 13, 15, 16}
 
 
@@ -64,6 +64,25 @@ def test_regularity_and_symmetry(paley9):
 def test_connection_set_negation_closed(paley9):
     f = paley9.field
     assert {f.neg_index(e) for e in paley9.connection_set} == paley9.connection_set
+
+
+# the ROADMAP ladder of Paley orders, and 289, 521 and 529 past it
+LADDER = [(3, 2), (17, 1), (5, 2), (41, 1), (7, 2), (73, 1), (3, 4), (89, 1), (97, 1),
+          (193, 1), (257, 1), (17, 2), (521, 1), (23, 2)]
+
+
+@pytest.mark.parametrize("p,r", LADDER)
+def test_squares_are_negation_closed_and_the_graph_is_regular(p, r):
+    """The theorems build_paley rests on without checking them: -1 is a
+    square when p^r = 1 (mod 4), so S = -S and the neighbour masks are
+    symmetric; each mask is a translate of S, so every degree is (q-1)/2."""
+    f = fields.make_field(p, r)
+    built = build_paley(f)
+    assert {field_oracle.neg(f, s) for s in built.connection_set} == built.connection_set
+    assert len(built.connection_set) == (f.order - 1) // 2
+    assert all(m.bit_count() == (f.order - 1) // 2 for m in built.graph.neighbours)
+    # Graph checks each edge as it sets it in both rows: the masks are symmetric
+    assert graphs.Graph(f.order, built.graph.edges) == built.graph
 
 
 def test_multiplier_certificate_paley9(paley9):

@@ -16,6 +16,8 @@ SRC = Path(paleylift.__file__).resolve().parent
 NEVER_ENTERED = {
     "fields.PrimePowerField.add_index":
         "ROADMAP item 2's Paley map lists the neighbours x + 1, x + l, ... of x",
+    "fields.PrimePowerField.neg_index":
+        "ROADMAP item 2's Paley dual certificate takes mu = -l",
     "fields.PrimePowerField.__repr__": "the field's repr, for debugging",
     "fields._poly_str": "names a modulus in an error message and in __repr__",
     "paley.smallest_nonresidue": "the benchmark's multiplier certificate, and item 2",
