@@ -16,7 +16,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .gf2 import BinaryMatrix
 from .graphs import Graph, SearchBudgetExceeded, find_isomorphism, parse_json
@@ -58,15 +58,19 @@ class RotationSystem:
 
 @dataclass(frozen=True)
 class FaceSet:
-    """Faces traced from a rotation system, with the Euler-derived genus."""
+    """Faces traced from a rotation system, with the Euler-derived genus;
+    face_of[d] is the index in faces of the face that dart d lies on."""
 
     graph: Graph
     faces: tuple[tuple[int, ...], ...]
     genus: int
+    face_of: tuple[int, ...]
 
 
 def trace_faces(rs: RotationSystem) -> FaceSet:
-    """Trace all faces; requires a connected graph with an edge."""
+    """Trace all faces; requires a connected graph with an edge.  Each face
+    is walked once from its lowest dart: the face step is a permutation of
+    the darts, so the walk closes at that dart."""
     g = rs.graph
     if not (g.edge_count and g.is_connected()):
         raise ValueError("face tracing requires a connected graph with an edge")
@@ -75,20 +79,22 @@ def trace_faces(rs: RotationSystem) -> FaceSet:
     for rot in rs.rotations:
         for d, nxt in zip(rot, rot[1:] + rot[:1]):
             succ[d] = nxt
-    visited = [False] * num_darts
+    face_of: list[Optional[int]] = [None] * num_darts
     faces = []
     for d0 in range(num_darts):
-        if visited[d0]:
+        if face_of[d0] is not None:
             continue
-        walk = []
-        d = d0
-        while not visited[d]:
-            visited[d] = True
+        fi = len(faces)
+        face_of[d0] = fi
+        walk = [d0]
+        d = succ[d0 ^ 1]
+        while d != d0:
+            face_of[d] = fi
             walk.append(d)
             d = succ[d ^ 1]
         faces.append(tuple(walk))
     genus = (2 - g.vertex_count + g.edge_count - len(faces)) // 2
-    return FaceSet(graph=g, faces=tuple(faces), genus=genus)
+    return FaceSet(graph=g, faces=tuple(faces), genus=genus, face_of=tuple(face_of))
 
 
 def face_edge_matrix(faces: FaceSet) -> BinaryMatrix:
@@ -118,42 +124,48 @@ class DualGraphResult:
 
 
 def dual_graph(rs: RotationSystem) -> DualGraphResult:
-    """One dual vertex per face; one dual adjacency per primal edge."""
+    """One dual vertex per face; one dual adjacency per primal edge, read
+    off the face labels of the edge's two darts.  The first edge between
+    two faces sets their neighbour bits, and each further one counts as a
+    repeat."""
     faces = trace_faces(rs)
-    face_of = {}
-    for fi, walk in enumerate(faces.faces):
-        for d in walk:
-            face_of[d] = fi
+    face_of = faces.face_of
+    masks = [0] * len(faces.faces)
     loops = []
-    mult: Counter = Counter()
-    for e in range(rs.graph.edge_count):
-        a, b = face_of[2 * e], face_of[2 * e + 1]
+    repeats: Counter = Counter()
+    for e, (a, b) in enumerate(zip(face_of[::2], face_of[1::2])):
         if a == b:
             loops.append((a, e))
+        elif masks[a] >> b & 1:
+            repeats[(a, b) if a < b else (b, a)] += 1
         else:
-            mult[(min(a, b), max(a, b))] += 1
-    simple = Graph(len(faces.faces), list(mult.keys()))
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+    # symmetric by construction, and a != b: of_masks's precondition
+    simple = Graph.of_masks(tuple(masks))
+    mult = dict.fromkeys(simple.edges, 1)
+    for pair, count in repeats.items():
+        mult[pair] += count
     return DualGraphResult(
         graph=simple,
         loops=tuple(loops),
-        multiplicities=tuple(sorted(mult.items())),
+        multiplicities=tuple(mult.items()),
     )
 
 
 # -- self-dual embedding search ----------------------------------------------
 
-def _vertex_candidates(inc: list[int], halve: bool) -> list[tuple[int, ...]]:
+def _vertex_candidates(inc: list[int], halve: bool) -> Iterator[tuple[int, ...]]:
     """Cyclic orders at one vertex, each normalized to start at the smallest
-    dart.  With halve=True, drop one of each reflection pair (valid at a
-    single vertex because reversing every rotation preserves genus and dual)."""
+    dart, in lexicographic order and generated as they are tried: a
+    degree-d vertex has (d - 1)! of them.  With halve=True, drop one of each
+    reflection pair (valid at a single vertex because reversing every
+    rotation preserves genus and dual)."""
     base, rest = inc[0], inc[1:]
-    out = []
     for perm in itertools.permutations(rest):
-        seq = (base,) + perm
-        if halve and len(seq) >= 3 and seq[1] > seq[-1]:
+        if halve and len(perm) >= 2 and perm[0] > perm[-1]:
             continue
-        out.append(seq)
-    return out
+        yield (base,) + perm
 
 
 def search_self_dual_embedding(
@@ -197,21 +209,19 @@ def search_self_dual_embedding(
     deg_multiset = Counter(len(d) for d in inc)
     max_face_len = max(deg_multiset)
     num_darts = 2 * n_e
-    candidates = [
-        _vertex_candidates(inc[v], halve=(v == 0)) for v in range(m)
-    ]
 
     succ = [-1] * num_darts
     nodes = 0
 
-    def partial_ok() -> bool:
+    def partial_ok(assigned: int) -> bool:
+        """Prune test once vertices 0 .. assigned - 1 have rotations."""
         visited = [False] * num_darts
         allowed = dict(deg_multiset)
         # A face step ends at a dart whose tail is assigned, so the darts at
         # unassigned vertices start the open segments: walking from them
         # first measures each segment whole.  The darts left over lie on
         # closed faces.
-        starts = [d for d in range(num_darts) if succ[d] < 0]
+        starts = itertools.chain.from_iterable(inc[assigned:])
         for d0 in itertools.chain(starts, range(num_darts)):
             if visited[d0]:
                 continue
@@ -240,13 +250,14 @@ def search_self_dual_embedding(
     def dfs(chosen: tuple[tuple[int, ...], ...]) -> Optional[RotationSystem]:
         """Extend the candidates chosen at vertices 0 .. len(chosen) - 1."""
         nonlocal nodes
-        if len(chosen) == m:
+        v = len(chosen)
+        if v == m:
             rotation = RotationSystem(graph, chosen)
             dual = dual_graph(rotation)
             if not dual.is_simple or find_isomorphism(dual.graph, graph) is None:
                 return None
             return rotation
-        for seq in candidates[len(chosen)]:
+        for seq in _vertex_candidates(inc[v], halve=(v == 0)):
             nodes += 1
             if nodes > budget:
                 raise SearchBudgetExceeded(
@@ -255,7 +266,7 @@ def search_self_dual_embedding(
             k = len(seq)
             for i in range(k):
                 succ[seq[i]] = seq[(i + 1) % k]
-            if partial_ok():
+            if partial_ok(v + 1):
                 result = dfs(chosen + (seq,))
                 if result is not None:
                     return result

@@ -74,7 +74,9 @@ class Graph:
     def of_masks(cls, masks: tuple[int, ...]) -> "Graph":
         """The graph whose vertex u has neighbour mask masks[u], unchecked:
         the masks must be symmetric, free of loop bits and below
-        1 << len(masks), as the builders' constructions make them.  Edges
+        1 << len(masks).  The builders' constructions make them so, and so
+        does embedding.dual_graph: it sets bit b of face a's mask and bit a
+        of face b's together, only for two faces a != b in range.  Edges
         from outside go through Graph(vertex_count, edges)."""
         graph = cls.__new__(cls)
         graph.vertex_count = len(masks)

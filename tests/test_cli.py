@@ -901,6 +901,20 @@ def test_budget_refuses_a_negative_value(lift3_workdir, tmp_path, argv):
         assert (work / "bundle" / "code.json").read_bytes() == code_json
 
 
+def test_embed_search_budget_bounds_memory(tmp_path):
+    """Paley-25's vertices have degree 12 and 11! rotations each, generated
+    as they are tried: under the 1 GiB cap the search spends its 10 nodes
+    and exits 3 without writing a report."""
+    assert run("paley", 5, 2, "--out", tmp_path / "paley25") == 0
+    out = tmp_path / "found.json"
+    result = run_capped("embed-search", tmp_path / "paley25" / "graph.json",
+                        "--genus", 51, "--budget", 10, "--out", out)
+    assert result.returncode == 3, result.stderr
+    assert "budget exhausted" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("genus", ["-1", "abc"])
 def test_embed_search_refuses_a_negative_genus(lift3_workdir, tmp_path, genus):
     """A negative or non-integer genus is a malformed query, not an absence:

@@ -4,9 +4,11 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import embedding_oracle
 import gf2_oracle
 from embedding_oracle import dual_edge_count, first_self_dual_embedding, index_order_rotation
-from paleylift import css, fields, gf2, graphs, paley
+from test_distance import multiplier_cayley_map
+from paleylift import css, fields, gf2, graphs, paley, voltage
 from paleylift.css import homology_ranks
 from paleylift.embedding import (
     RotationSystem,
@@ -159,6 +161,14 @@ def test_dual_edge_bijection_all_k4_systems():
         assert dual_edge_count(dual) == g.edge_count
 
 
+def test_faces_and_dual_match_oracle_on_all_k4_systems():
+    # 14 of the 16 systems have duals with both loops and repeated face pairs
+    duals = [assert_faces_and_dual_match_oracle(rs)[1]
+             for rs in all_rotation_systems(complete_graph(4))]
+    assert sum(bool(d.loops) for d in duals) == 14
+    assert sum(any(c > 1 for _, c in d.multiplicities) for d in duals) == 14
+
+
 def test_dual_paley9_self(paley9, paley9_rotation):
     dual = dual_graph(paley9_rotation)
     assert dual.is_simple
@@ -261,6 +271,53 @@ def test_search_node_count_on_paley9():
         search_self_dual_embedding(graph, target_genus=1, budget=1843)
 
 
+def test_search_node_count_on_paley9_with_the_readme_modulus():
+    # the README's modulus x^2 + x + 2: 1724 nodes up to the first witness
+    graph = paley.build_paley(fields.make_field(3, 2, (2, 1, 1))).graph
+    found = search_self_dual_embedding(graph, target_genus=1, budget=1724)
+    assert found.rotations == (
+        (0, 4, 2, 6), (1, 12, 8, 10), (3, 14, 9, 16), (11, 18, 22, 20),
+        (15, 24, 26, 19), (5, 21, 28, 25), (17, 32, 27, 30), (7, 31, 29, 34),
+        (13, 35, 23, 33))
+    with pytest.raises(SearchBudgetExceeded):
+        search_self_dual_embedding(graph, target_genus=1, budget=1723)
+
+
+def assert_faces_and_dual_match_oracle(rotation):
+    """trace_faces gives the oracle's faces and genus, labels each dart
+    with the index of its face, and dual_graph gives the oracle's dual."""
+    faces = trace_faces(rotation)
+    assert (faces.faces, faces.genus) == embedding_oracle.face_walks(rotation)
+    assert faces.face_of == tuple(fi for _, fi in sorted(
+        (d, fi) for fi, walk in enumerate(faces.faces) for d in walk))
+    dual = dual_graph(rotation)
+    assert dual == embedding_oracle.dual_graph(rotation)
+    return faces, dual
+
+
+# the certify-small benchmark's instances: the Paley graphs with their
+# multiplier Cayley maps (default moduli), and the lifts with their derived
+# embeddings
+CERTIFY_SMALL = [("paley", q, p, r) for q, p, r in (
+    (9, 3, 2), (17, 17, 1), (25, 5, 2), (41, 41, 1), (49, 7, 2), (73, 73, 1),
+    (81, 3, 4), (89, 89, 1), (97, 97, 1))] + [("lift", t, None, None) for t in (3, 4, 5)]
+
+
+@pytest.mark.parametrize("family, order, p, r", CERTIFY_SMALL,
+                         ids=[f"{f}{o}" for f, o, _, _ in CERTIFY_SMALL])
+def test_faces_and_dual_match_oracle_on_certify_small(family, order, p, r):
+    if family == "paley":
+        rotation = multiplier_cayley_map(paley.build_paley(fields.make_field(p, r)))
+        genus = css.family_parameters("paley", (order - 9) // 8).genus
+    else:
+        rotation = voltage.derived_embedding(voltage.build_voltage_graph(order))
+        genus = css.family_parameters("voltage", 2 ** (order - 2) - 1).genus
+    faces, dual = assert_faces_and_dual_match_oracle(rotation)
+    assert faces.genus == genus
+    assert len(faces.faces) == rotation.graph.vertex_count
+    assert dual.is_simple
+
+
 @st.composite
 def small_connected_graphs(draw, max_vertices=5):
     """A connected simple graph on 2 to max_vertices vertices (by default
@@ -292,16 +349,17 @@ def test_every_rotation_system_is_cellular(graph, data):
     integer g >= 0, and its surface code has H_X H_Z^T = 0 and k = 2g;
     trace_faces and `code` rely on this and do not check it.  The distance
     engine reads the dual graph off the columns of H_Z: its loops and
-    parallel edges are dual_graph's."""
+    parallel edges are dual_graph's.  These duals have loops and repeated
+    face pairs, so the faces and dual are also checked against the oracle
+    here."""
     rotation = RotationSystem(graph, tuple(tuple(data.draw(st.permutations(darts)))
                                            for darts in incident_darts(graph)))
-    faces = trace_faces(rotation)
+    faces, dual = assert_faces_and_dual_match_oracle(rotation)
     assert sorted(d for walk in faces.faces for d in walk) == list(range(2 * graph.edge_count))
     chi = graph.vertex_count - graph.edge_count + len(faces.faces)
     assert chi == 2 - 2 * faces.genus and faces.genus >= 0
     hz = face_edge_matrix(faces)
     assert homology_ranks(graphs.incidence_matrix(graph), hz) == 2 * faces.genus
-    dual = dual_graph(rotation)
     loops, ends = css._columns(hz, "H_Z", ends=True)
     assert loops == [e for _, e in dual.loops]
     # each column's (lowest, highest) row: the faces on the two sides of its edge
